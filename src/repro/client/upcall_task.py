@@ -167,13 +167,19 @@ class UpcallService:
                         if self._ledger is not None:
                             # Write off upcall frames lost in transit so
                             # dropped frames cannot strangle the window.
-                            # Handlers mid-flight (``_active``) are held,
-                            # not lost; their byte share is small enough
-                            # to write off early (they drain right after).
+                            # Frames read but not yet drained are held,
+                            # not lost: the sequential backlog, and
+                            # handlers mid-flight (``_active``), whose
+                            # byte share is small enough to write off
+                            # early (they drain right after).
                             self._ledger.reconcile(
                                 message.msg_credit,
                                 message.byte_credit,
-                                held_msgs=self._active,
+                                held_msgs=self._active + len(self._backlog),
+                                held_bytes=sum(
+                                    message_cost(held.args)
+                                    for held, _ in self._backlog
+                                ),
                             )
                         await self.announce_credits()
                     continue

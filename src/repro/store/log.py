@@ -301,8 +301,15 @@ class SubscriberLog:
         return self.acked
 
     def _acked_prefix_bytes(self) -> int:
+        """File offset where the unacked records begin.
+
+        Records are contiguous from offset 0 (recovery scans from 0,
+        appends land at ``_end``, compaction rewrites from 0), so this is
+        the acked prefix's size in O(log n), and ``_end`` minus it the
+        backlog's.
+        """
         cut = bisect_right(self._seqs, self.acked)
-        return sum(entry.size for entry in self._index[:cut])
+        return self._index[cut].offset if cut < len(self._index) else self._end
 
     def compact(self) -> None:
         """Rewrite the log without the acked prefix (temp + rename)."""
@@ -386,8 +393,7 @@ class SubscriberLog:
 
     @property
     def backlog_bytes(self) -> int:
-        cut = bisect_right(self._seqs, self.acked)
-        return sum(entry.size for entry in self._index[cut:])
+        return self._end - self._acked_prefix_bytes()
 
     def stats(self) -> dict:
         return {

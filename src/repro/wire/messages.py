@@ -3,7 +3,10 @@
 Each message is a frozen dataclass with a class-level ``TYPE_CODE`` and
 a pair of bundling methods.  The module-level :func:`encode_message` /
 :func:`decode_message` dispatch on the type code, which is the first
-field of every frame.
+field of every frame.  The frames a fan-out delivery moves (UPCALL,
+UPCALL_REPLY, REPLY, CREDIT) also have compiled fixed-layout codecs,
+described at the end of this module; the bundling methods stay their
+reference and fallback.
 
 Design notes mapping to the paper:
 
@@ -54,10 +57,11 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Type
+from typing import Callable, ClassVar, Type
 
 from repro.errors import ProtocolError, XdrError
 from repro.xdr import XdrStream
+from repro.xdr.stream import DEFAULT_MAX_LENGTH
 
 #: Bumped when the frame layout changes; negotiated in HELLO.
 PROTOCOL_VERSION = 5
@@ -498,7 +502,25 @@ _MESSAGE_TYPES: dict[int, Type[Message]] = {
 
 
 def encode_message(message: Message, *, version: int = PROTOCOL_VERSION) -> bytes:
-    """Bundle one message into a frame payload at ``version``."""
+    """Bundle one message into a frame payload at ``version``.
+
+    Delivery-path frames take their compiled codec (see "Compiled
+    fixed-layout codecs" below); everything else, and any value a
+    compiled codec declines, takes :func:`encode_message_interpreted`.
+    """
+    encoder = _COMPILED_ENCODERS.get(message.__class__)
+    if encoder is not None and version in _COMPILED_VERSIONS:
+        try:
+            return encoder(message, version)
+        except Exception:
+            pass  # declined: the walk encodes it or raises its own error
+    return encode_message_interpreted(message, version=version)
+
+
+def encode_message_interpreted(
+    message: Message, *, version: int = PROTOCOL_VERSION
+) -> bytes:
+    """The per-field :class:`XdrStream` walk: reference and fallback codec."""
     stream = XdrStream.encoder()
     try:
         stream.xuint(int(message.TYPE_CODE))
@@ -532,8 +554,8 @@ UPCALL_SERIAL_OFFSET = 4
 #: Byte offset of ``ruc_id`` (xuhyper) in an encoded UpcallMessage frame.
 UPCALL_RUC_OFFSET = 8
 
-_PATCH_SERIAL = struct.Struct(">I")
-_PATCH_RUC = struct.Struct(">Q")
+_UINT = struct.Struct(">I")
+_UHYPER = struct.Struct(">Q")
 
 
 def encode_upcall_template(
@@ -549,7 +571,14 @@ def encode_upcall_template(
     The result is the shared marshalling work of an N-subscriber
     fan-out; :func:`patch_upcall_frame` specializes a copy per send.
     """
-    return encode_message(
+    if version in _COMPILED_VERSIONS:
+        try:
+            return _pack_upcall(
+                0, 0, args, expects_reply, trace_id, parent_span, version
+            )
+        except Exception:
+            pass  # declined: the walk encodes it or raises its own error
+    return encode_message_interpreted(
         UpcallMessage(
             serial=0,
             ruc_id=0,
@@ -569,8 +598,8 @@ def patch_upcall_frame(template: bytes, serial: int, ruc_id: int) -> bytearray:
     ruc_id=ruc_id, ...)`` from scratch at the template's version.
     """
     frame = bytearray(template)
-    _PATCH_SERIAL.pack_into(frame, UPCALL_SERIAL_OFFSET, serial)
-    _PATCH_RUC.pack_into(frame, UPCALL_RUC_OFFSET, ruc_id)
+    _UINT.pack_into(frame, UPCALL_SERIAL_OFFSET, serial)
+    _UHYPER.pack_into(frame, UPCALL_RUC_OFFSET, ruc_id)
     return frame
 
 
@@ -578,8 +607,26 @@ def decode_message(data: bytes, *, version: int = PROTOCOL_VERSION) -> Message:
     """Unbundle one frame payload encoded at ``version`` into a message.
 
     Raises :class:`ProtocolError` for unknown type codes and
-    propagates :class:`XdrError` for malformed bodies.
+    propagates :class:`XdrError` for malformed bodies.  Delivery-path
+    frames take their compiled codec; a frame it declines is replayed
+    through :func:`decode_message_interpreted`, so errors are the walk's.
     """
+    # Compiled decoders slice their payloads out of the frame, which
+    # yields ``bytes`` only from ``bytes``; other buffers take the walk.
+    if version in _COMPILED_VERSIONS and data.__class__ is bytes and len(data) >= 4:
+        decoder = _COMPILED_DECODERS.get(_UINT.unpack_from(data)[0])
+        if decoder is not None:
+            try:
+                return decoder(data, version)
+            except Exception:
+                pass  # declined: the walk re-reads the frame and raises
+    return decode_message_interpreted(data, version=version)
+
+
+def decode_message_interpreted(
+    data: bytes, *, version: int = PROTOCOL_VERSION
+) -> Message:
+    """The per-field :class:`XdrStream` walk: reference and fallback codec."""
     stream = XdrStream.decoder(data)
     code = stream.xuint()
     cls = _MESSAGE_TYPES.get(code)
@@ -591,3 +638,204 @@ def decode_message(data: bytes, *, version: int = PROTOCOL_VERSION) -> Message:
     except XdrError as exc:
         raise ProtocolError(str(exc)) from exc
     return message
+
+
+# -- compiled fixed-layout codecs ----------------------------------------------
+#
+# A fan-out delivery moves four frame types: each subscriber decodes an
+# UPCALL and encodes an UPCALL_REPLY, the server decodes the replies,
+# and CREDIT frames pace the stream (REPLY is UPCALL_REPLY's twin on
+# the RPC channel).  Their layouts are fixed up to the length of one or
+# two opaques, so, as in HAM, a codec here is a precompiled
+# ``struct.Struct`` per fixed run plus byte slices, and decoding fills
+# the frozen message's ``__dict__`` directly instead of running the
+# dataclass ``__init__`` (one ``object.__setattr__`` per field).  The
+# contract is that of :mod:`repro.bundlers.compiled`:
+#
+# - the bytes are the interpreted walk's, both ways, for every message
+#   and frame the compiled codec accepts;
+# - a codec declines, by raising, whatever it does not handle: a value
+#   whose type the walk might treat differently (a bool or int
+#   subclass, a bytearray payload), an out-of-range integer, and on
+#   decode a truncated frame, nonzero padding, a bool that is not 0 or
+#   1, trailing bytes, bad UTF-8 or a length over the XDR maximum.  The
+#   entry point replays it through the walk, so every error keeps the
+#   walk's exception type and message;
+# - other message types, and versions outside _COMPILED_VERSIONS,
+#   only ever take the walk.
+#
+# tests/test_wire/test_properties.py holds the two paths equal.
+
+
+class _Decline(Exception):
+    """A compiled codec declines; the entry point replays the walk."""
+
+
+_COMPILED_VERSIONS = frozenset(range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1))
+
+#: Zero padding after an opaque of n bytes is ``_PAD[n & 3]``.
+_PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
+#: type code, serial, opaque length: REPLY and UPCALL_REPLY up to the payload.
+_SERIAL_OPAQUE = struct.Struct(">III")
+#: type code, serial, ruc_id, len(args): UPCALL up to the payload.
+_UPCALL_HEAD = struct.Struct(">IIQI")
+#: expects_reply, len(trace_id): UPCALL after the payload (v2+).
+_BOOL_LENGTH = struct.Struct(">iI")
+_BOOL = struct.Struct(">i")
+#: type code, msg_credit, byte_credit, probe: all of CREDIT.
+_CREDIT = struct.Struct(">IQQi")
+
+_UPCALL_CODE = int(_TypeCode.UPCALL)
+_CREDIT_CODE = int(_TypeCode.CREDIT)
+
+_new = object.__new__
+
+
+def _pack_upcall(
+    serial, ruc_id, args, expects_reply, trace_id, parent_span, version
+) -> bytes:
+    if (
+        serial.__class__ is not int
+        or ruc_id.__class__ is not int
+        or args.__class__ is not bytes
+        or expects_reply.__class__ is not bool
+    ):
+        raise _Decline
+    n = len(args)
+    if n > DEFAULT_MAX_LENGTH:
+        raise _Decline
+    head = _UPCALL_HEAD.pack(_UPCALL_CODE, serial, ruc_id, n)
+    if version < TRACE_CONTEXT_VERSION:
+        return b"".join((head, args, _PAD[n & 3], _BOOL.pack(expects_reply)))
+    if trace_id.__class__ is not str or parent_span.__class__ is not int:
+        raise _Decline
+    trace = trace_id.encode("utf-8")
+    m = len(trace)
+    if m > DEFAULT_MAX_LENGTH:
+        raise _Decline
+    return b"".join((
+        head, args, _PAD[n & 3],
+        _BOOL_LENGTH.pack(expects_reply, m), trace, _PAD[m & 3],
+        _UHYPER.pack(parent_span),
+    ))
+
+
+def _encode_upcall(message: UpcallMessage, version: int) -> bytes:
+    return _pack_upcall(
+        message.serial, message.ruc_id, message.args, message.expects_reply,
+        message.trace_id, message.parent_span, version,
+    )
+
+
+def _decode_upcall(data: bytes, version: int) -> UpcallMessage:
+    _code, serial, ruc_id, n = _UPCALL_HEAD.unpack_from(data)
+    end = 20 + n
+    pos = end + (-n & 3)
+    if n > DEFAULT_MAX_LENGTH or data[end:pos] != _PAD[n & 3]:
+        raise _Decline
+    if version < TRACE_CONTEXT_VERSION:
+        (expects,) = _BOOL.unpack_from(data, pos)
+        trace_id = ""
+        parent_span = 0
+        last = pos + 4
+    else:
+        expects, m = _BOOL_LENGTH.unpack_from(data, pos)
+        start = pos + 8
+        stop = start + m
+        tail = stop + (-m & 3)
+        (parent_span,) = _UHYPER.unpack_from(data, tail)
+        if m > DEFAULT_MAX_LENGTH or data[stop:tail] != _PAD[m & 3]:
+            raise _Decline
+        trace_id = str(data[start:stop], "utf-8") if m else ""
+        last = tail + 8
+    if last != len(data) or expects not in (0, 1):
+        raise _Decline
+    message = _new(UpcallMessage)
+    fields = message.__dict__
+    fields["serial"] = serial
+    fields["ruc_id"] = ruc_id
+    fields["args"] = data[20:end]
+    fields["expects_reply"] = expects == 1
+    fields["trace_id"] = trace_id
+    fields["parent_span"] = parent_span
+    return message
+
+
+def _reply_codec(cls: Type[Message]):
+    """Encoder and decoder for a ``serial`` + ``results`` reply type."""
+    code = int(cls.TYPE_CODE)
+    pack = _SERIAL_OPAQUE.pack
+    unpack_from = _SERIAL_OPAQUE.unpack_from
+
+    def encode(message, version: int) -> bytes:
+        serial = message.serial
+        results = message.results
+        if serial.__class__ is not int or results.__class__ is not bytes:
+            raise _Decline
+        n = len(results)
+        if n > DEFAULT_MAX_LENGTH:
+            raise _Decline
+        return b"".join((pack(code, serial, n), results, _PAD[n & 3]))
+
+    def decode(data: bytes, version: int):
+        _code, serial, n = unpack_from(data)
+        end = 12 + n
+        if (
+            n > DEFAULT_MAX_LENGTH
+            or end + (-n & 3) != len(data)
+            or data[end:] != _PAD[n & 3]
+        ):
+            raise _Decline
+        message = _new(cls)
+        fields = message.__dict__
+        fields["serial"] = serial
+        fields["results"] = data[12:end]
+        return message
+
+    return encode, decode
+
+
+def _encode_credit(message: CreditMessage, version: int) -> bytes:
+    msg_credit = message.msg_credit
+    byte_credit = message.byte_credit
+    probe = message.probe
+    if (
+        msg_credit.__class__ is not int
+        or byte_credit.__class__ is not int
+        or probe.__class__ is not bool
+    ):
+        raise _Decline
+    return _CREDIT.pack(_CREDIT_CODE, msg_credit, byte_credit, probe)
+
+
+def _decode_credit(data: bytes, version: int) -> CreditMessage:
+    _code, msg_credit, byte_credit, probe = _CREDIT.unpack_from(data)
+    if len(data) != _CREDIT.size or probe not in (0, 1):
+        raise _Decline
+    message = _new(CreditMessage)
+    fields = message.__dict__
+    fields["msg_credit"] = msg_credit
+    fields["byte_credit"] = byte_credit
+    fields["probe"] = probe == 1
+    return message
+
+
+_encode_reply, _decode_reply = _reply_codec(ReplyMessage)
+_encode_upcall_reply, _decode_upcall_reply = _reply_codec(UpcallReplyMessage)
+
+#: Compiled encoders by exact message class: ``encoder(message, version)``.
+_COMPILED_ENCODERS: dict[type, Callable[[Message, int], bytes]] = {
+    UpcallMessage: _encode_upcall,
+    ReplyMessage: _encode_reply,
+    UpcallReplyMessage: _encode_upcall_reply,
+    CreditMessage: _encode_credit,
+}
+
+#: Compiled decoders by type code: ``decoder(frame, version)``.
+_COMPILED_DECODERS: dict[int, Callable[[bytes, int], Message]] = {
+    _UPCALL_CODE: _decode_upcall,
+    int(_TypeCode.REPLY): _decode_reply,
+    int(_TypeCode.UPCALL_REPLY): _decode_upcall_reply,
+    _CREDIT_CODE: _decode_credit,
+}

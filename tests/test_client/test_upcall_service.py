@@ -9,9 +9,11 @@ from repro.bundlers import BundlerRegistry
 from repro.bundlers.auto import structural_resolver
 from repro.client.upcall_task import UpcallService
 from repro.core import CallbackTable, UpcallSignature
+from repro.flow import message_cost
 from repro.ipc import MessageChannel
 from repro.ipc.memory import MemoryConnection
 from repro.wire import (
+    CreditMessage,
     ReplyMessage,
     UpcallExceptionMessage,
     UpcallMessage,
@@ -112,6 +114,62 @@ class TestSequentialService:
         )
         await eventually(lambda: seen == [5])
         assert service.upcalls_handled == 1
+        await service.close()
+        await task
+
+
+class TestUpcallCredits:
+    @async_test
+    async def test_probe_holds_the_backlog_instead_of_writing_it_off(self):
+        """Frames read into the sequential backlog are held, not lost.
+
+        Written off at the probe, they would be counted again when they
+        drain, inflating the grant past what the producer ever used.
+        """
+        server_channel, callbacks, signature, service = build()
+        window_msgs, window_bytes = 8, 1 << 16
+        service.enable_credits(window_msgs=window_msgs, window_bytes=window_bytes)
+        release = asyncio.Event()
+
+        async def blocked(x):
+            await release.wait()
+            return x
+
+        callback_id = callbacks.register(blocked, signature)
+        task = asyncio.get_running_loop().create_task(service.run())
+        await service.announce_credits()
+        grants = [await server_channel.recv()]
+
+        frames = [
+            UpcallMessage(serial=serial, ruc_id=callback_id,
+                          args=signature.bundle_args((serial,)),
+                          expects_reply=False)
+            for serial in range(1, 5)
+        ]
+        used_msgs = len(frames)
+        used_bytes = sum(message_cost(frame.args) for frame in frames)
+        for frame in frames:
+            await server_channel.send(frame)
+        await server_channel.send(
+            CreditMessage(msg_credit=used_msgs, byte_credit=used_bytes, probe=True)
+        )
+        grants.append(await asyncio.wait_for(server_channel.recv(), 5))
+        ledger = service._ledger
+        assert ledger.drained_msgs == 0
+
+        release.set()
+        await eventually(lambda: service.upcalls_handled == used_msgs)
+        # Half the window drained: the next grant goes out.
+        grants.append(await asyncio.wait_for(server_channel.recv(), 5))
+        assert all(isinstance(grant, CreditMessage) for grant in grants)
+        assert ledger.drained_msgs == used_msgs
+        assert max(g.msg_credit for g in grants) <= used_msgs + window_msgs
+        # A handler already running at the probe has its bytes written
+        # off early, so the byte grant may run one frame ahead.
+        one_frame = max(message_cost(frame.args) for frame in frames)
+        assert max(g.byte_credit for g in grants) <= (
+            used_bytes + window_bytes + one_frame
+        )
         await service.close()
         await task
 

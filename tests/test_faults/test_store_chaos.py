@@ -122,8 +122,11 @@ async def test_kill_mid_stream_is_exactly_once(seed, tmp_path):
             lambda: len(got_a) >= 10 or hub.group.parked_subscribers == 1,
             timeout=30.0,
         )
-        await client_a.rpc.channel.close()
-        await client_a._upcall_service._channel.close()
+        # The kill stops the whole victim, not only its streams: neither
+        # frames it had already read into its upcall backlog nor a
+        # reconnect by its supervisor may reach ``on_event_a`` after the
+        # successor takes its cursor.
+        await client_a.close()
 
         # Phase 2: the publisher never pauses; everything spills.
         for value in range(N_EVENTS // 2, N_EVENTS):
@@ -158,10 +161,6 @@ async def test_kill_mid_stream_is_exactly_once(seed, tmp_path):
         assert injector.injected > 0, f"seed {seed}: no faults injected"
 
         await client_b.close()
-        try:
-            await client_a.close()
-        except Exception:
-            pass
     finally:
         await hub.group.close()
         spool.close()

@@ -8,8 +8,10 @@ exactly-once story leans on.
 """
 
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.store import Retention, SubscriberLog
@@ -152,6 +154,108 @@ class TestAckCompaction:
         assert again.acked == 6
         assert [s for s, _ in again.replay(again.acked)] == [7, 8]
         again.close()
+
+
+class _CountingIndex(list):
+    """A log index that counts the entries read out of it."""
+
+    touched = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        self.touched += len(item) if isinstance(key, slice) else 1
+        return item
+
+    def __iter__(self):
+        self.touched += len(self)
+        return super().__iter__()
+
+
+def _explicit_sums(log: SubscriberLog) -> tuple[int, int]:
+    """(acked prefix, backlog) bytes, summed record by record."""
+    records = log.replay(0)
+    acked = sum(fmt.record_size(p) for s, p in records if s <= log.acked)
+    backlog = sum(fmt.record_size(p) for s, p in records if s > log.acked)
+    return acked, backlog
+
+
+_LOG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 4), st.integers(0, 40)),
+        st.tuples(st.just("ack"), st.integers(0, 6)),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=25,
+)
+
+
+class TestBacklogArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=_LOG_OPS,
+        max_bytes=st.one_of(st.none(), st.integers(100, 600)),
+        compact_bytes=st.sampled_from([1, 256, 1 << 20]),
+    )
+    def test_offsets_equal_the_explicit_sums(self, ops, max_bytes, compact_bytes):
+        """Backlog and acked-prefix bytes from offsets match summing the
+        records, across append, ack, compaction, retention and reopen."""
+        retention = Retention(max_bytes=max_bytes) if max_bytes else None
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "sub.log")
+
+            def open_log() -> SubscriberLog:
+                return SubscriberLog(
+                    path, fsync="never", retention=retention,
+                    compact_bytes=compact_bytes,
+                ).open()
+
+            log = open_log()
+            seq = 0
+            for op in ops:
+                if op[0] == "append":
+                    _, count, size = op
+                    log.append_many(
+                        [(seq + i + 1, b"p" * size) for i in range(count)]
+                    )
+                    seq += count
+                elif op[0] == "ack":
+                    log.ack(log.acked + op[1])
+                elif op[0] == "compact":
+                    log.compact()
+                else:
+                    log.close()
+                    log = open_log()
+                acked, backlog = _explicit_sums(log)
+                assert log.backlog_bytes == backlog
+                assert log._acked_prefix_bytes() == acked
+                assert acked + backlog == log.size_bytes
+            log.close()
+
+    def test_gauge_refresh_cost_does_not_grow_with_the_log(self, tmp_path):
+        """Spill with ``attach_store`` refreshes the backlog gauges on
+        every post; reading them must not walk the index, or spilling n
+        events costs O(n^2)."""
+
+        def touched(n: int) -> int:
+            log = SubscriberLog(
+                str(tmp_path / f"sub-{n}.log"), fsync="never",
+                compact_bytes=1 << 40,
+            ).open()
+            fill(log, n)
+            log._index = index = _CountingIndex(log._index)
+            log.ack(1)
+            log.ack(2)
+            assert log.backlog_bytes == _explicit_sums(log)[1]
+            index.touched = 0
+            log.append(n + 1, b"x")
+            log.backlog_bytes
+            log.ack(3)
+            log.stats()
+            log.close()
+            return index.touched
+
+        assert touched(50) == touched(2000)
 
 
 class TestRetention:
