@@ -9,8 +9,8 @@ An open-loop producer hammers a deliberately slow server twice:
    calls stay fast, the shed calls fail fast, and an
    interactive-floored call jumps past the whole storm.
 
-Along the way the batched-post flood shows the protocol-v4 credit
-window bounding the server's queued-call memory.
+Along the way the batched-post flood shows the credit window
+bounding the server's queued-call memory.
 
 Run with::
 
@@ -100,7 +100,7 @@ async def run(slug: str, label: str, n: int, **server_kwargs) -> None:
             jumped = await work.grind(-1)
         print(f"  interactive-floored call served immediately (#{jumped})")
 
-    # The credit window (protocol v4) bounds queued-post memory too.
+    # The credit window bounds queued-post memory too.
     for i in range(200):
         try:
             await work.grind_note(i)

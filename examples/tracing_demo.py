@@ -7,7 +7,7 @@ the one interesting event (a mouse press inside W1) comes back as a
 *distributed trace*: the client's synchronous ``inject_input`` call,
 the server-side handler, the distributed upcall, and the RUC
 execution back in the client all carry one ``trace_id``, stitched
-over the wire by protocol v2's trace-context fields.
+over the wire by the trace-context fields of CALL and UPCALL frames.
 
 The demo prints the rendered trace tree, then a few of the metrics
 both sides recorded along the way.

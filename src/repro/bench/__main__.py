@@ -18,7 +18,6 @@ Usage::
 
     python -m repro.bench --json BENCH_rpc.json           # perf record
     python -m repro.bench --json BENCH_rpc.json --quick   # CI smoke mode
-    python -m repro.bench --uvloop fanout                 # same, on uvloop
 """
 
 from __future__ import annotations
@@ -68,18 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="with --json: fewer repeats, for CI smoke runs",
     )
-    parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop (requires the optional repro[uvloop] extra)",
-    )
     args = parser.parse_args(argv)
-
-    if args.uvloop:
-        from repro.ipc import install_uvloop, loop_mode
-
-        install_uvloop(strict=True)
-        print(f"event loop: {loop_mode()}", flush=True)
 
     if args.json:
         from repro.bench import perf_record

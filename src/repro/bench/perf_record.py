@@ -119,12 +119,6 @@ def _measure(fn: Callable[[], None], repeats: int) -> dict[str, float]:
     }
 
 
-def _loop_mode() -> str:
-    from repro.ipc import loop_mode
-
-    return loop_mode()
-
-
 def _git_sha() -> str:
     try:
         out = subprocess.run(
@@ -289,7 +283,6 @@ def collect(quick: bool = False) -> dict[str, Any]:
         "date": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "python": platform.python_version(),
-        "loop": _loop_mode(),
         "quick": quick,
         "benchmarks": benchmarks,
         "fanout": fanout,

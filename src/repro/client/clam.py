@@ -46,12 +46,7 @@ from repro.rpc import CallPipeline, RetryPolicy, RpcConnection, install_client_o
 from repro.client.upcall_task import UpcallService
 from repro.server.builtin import BUILTIN_HANDLE, ClamServerInterface
 from repro.stubs import Proxy, build_proxy, interface_spec
-from repro.wire import (
-    FLOW_CONTROL_VERSION,
-    PROTOCOL_VERSION,
-    ChannelRole,
-    HelloMessage,
-)
+from repro.wire import ChannelRole, HelloMessage, negotiate_version
 
 #: Default bound on connection establishment (dial + HELLO exchange).
 DEFAULT_CONNECT_TIMEOUT = 5.0
@@ -84,7 +79,6 @@ class ClamClient:
         *,
         url: str = "",
         channels: str = "two",
-        offered_version: int = PROTOCOL_VERSION,
         max_active_upcalls: int = 1,
         connect_timeout: float | None = DEFAULT_CONNECT_TIMEOUT,
         reconnect_policy: RetryPolicy | None = None,
@@ -104,7 +98,6 @@ class ClamClient:
         self._builtin = build_proxy(ClamServerInterface, rpc, BUILTIN_HANDLE)
         self._url = url
         self._channels = channels
-        self._offered_version = offered_version
         self._max_active_upcalls = max_active_upcalls
         self._connect_timeout = connect_timeout
         self._upcall_window = upcall_window
@@ -140,7 +133,6 @@ class ClamClient:
         retry: RetryPolicy | None = None,
         reconnect: bool = False,
         reconnect_policy: RetryPolicy | None = None,
-        protocol_version: int = PROTOCOL_VERSION,
         upcall_window_msgs: int | None = None,
         upcall_window_bytes: int | None = None,
     ) -> "ClamClient":
@@ -185,12 +177,9 @@ class ClamClient:
         replays recorded lookups — proxies whose handles changed go
         locally stale.
 
-        ``protocol_version`` caps what this client offers in its HELLO;
-        the wire speaks ``min(offered, server's answer)``.  Lowering it
-        below :data:`~repro.wire.TRACE_CONTEXT_VERSION` makes this
-        client behave like a pre-trace-context peer, and below
-        :data:`~repro.wire.DEADLINE_VERSION` like a pre-deadline one —
-        useful for interop tests.
+        The HELLO exchange raises :class:`~repro.errors.ProtocolError`
+        when the server acknowledges a protocol version this client
+        does not speak.
         """
         if channels not in ("one", "two"):
             raise ValueError(f"channels must be 'one' or 'two', not {channels!r}")
@@ -203,13 +192,11 @@ class ClamClient:
         callbacks = CallbackTable()
         install_client_callbacks(registry, callbacks)
 
-        # Channel one: RPC.  HELLO exchange yields the session token
-        # and the protocol version both ends will speak.
+        # Channel one: RPC.  The HELLO exchange yields the session token.
         rpc_channel, ack = await cls._bounded(
-            cls._hello_rpc(url, protocol_version), connect_timeout, url
+            cls._hello_rpc(url), connect_timeout, url
         )
         session = ack.session
-        negotiated = rpc_channel.protocol_version
 
         rpc = RpcConnection(
             rpc_channel,
@@ -228,7 +215,7 @@ class ClamClient:
         if channels == "two":
             # Channel two: upcalls, tied to the session by its token.
             upcall_channel = await cls._bounded(
-                cls._hello_upcall(url, negotiated, session), connect_timeout, url
+                cls._hello_upcall(url, session), connect_timeout, url
             )
             service = UpcallService(
                 upcall_channel,
@@ -237,14 +224,12 @@ class ClamClient:
                 tracer=tracer,
                 metrics=metrics,
             )
-            if negotiated >= FLOW_CONTROL_VERSION:
-                # Grant the server its upcall window (roles reversed
-                # from the RPC stream); the first grant engages the
-                # session's gate.
-                service.enable_credits(**_window_kwargs(
-                    upcall_window_msgs, upcall_window_bytes
-                ))
-                await service.announce_credits()
+            # Grant the server its upcall window (roles reversed from
+            # the RPC stream); the first grant engages the session's gate.
+            service.enable_credits(**_window_kwargs(
+                upcall_window_msgs, upcall_window_bytes
+            ))
+            await service.announce_credits()
             upcall_task = asyncio.get_running_loop().create_task(
                 service.run(), name="clam-client-upcalls"
             )
@@ -274,7 +259,6 @@ class ClamClient:
             tracer=tracer, metrics=metrics,
             url=url,
             channels=channels,
-            offered_version=protocol_version,
             max_active_upcalls=max_active_upcalls,
             connect_timeout=connect_timeout,
             reconnect_policy=reconnect_policy if reconnect else None,
@@ -295,7 +279,7 @@ class ClamClient:
 
     @staticmethod
     async def _hello_rpc(
-        url: str, protocol_version: int, resume: str = ""
+        url: str, resume: str = ""
     ) -> tuple[MessageChannel, HelloMessage]:
         """Dial and perform the RPC-role HELLO exchange.
 
@@ -304,37 +288,21 @@ class ClamClient:
         """
         channel = MessageChannel(await dial(url))
         try:
-            await channel.send(
-                HelloMessage(
-                    role=ChannelRole.RPC,
-                    session=resume,
-                    protocol_version=protocol_version,
-                )
-            )
+            await channel.send(HelloMessage(role=ChannelRole.RPC, session=resume))
             ack = await channel.recv()
+            if not isinstance(ack, HelloMessage) or not ack.session:
+                raise ProtocolError(f"bad HELLO reply from server: {ack!r}")
+            negotiate_version(ack.protocol_version)
         except BaseException:
             await channel.close()
             raise
-        if not isinstance(ack, HelloMessage) or not ack.session:
-            await channel.close()
-            raise ProtocolError(f"bad HELLO reply from server: {ack!r}")
-        channel.protocol_version = min(protocol_version, ack.protocol_version)
         return channel, ack
 
     @staticmethod
-    async def _hello_upcall(
-        url: str, negotiated: int, session: str
-    ) -> MessageChannel:
+    async def _hello_upcall(url: str, session: str) -> MessageChannel:
         """Dial the second stream and bind it to the session by token."""
         channel = MessageChannel(await dial(url))
-        channel.protocol_version = negotiated
-        await channel.send(
-            HelloMessage(
-                role=ChannelRole.UPCALL,
-                session=session,
-                protocol_version=negotiated,
-            )
-        )
+        await channel.send(HelloMessage(role=ChannelRole.UPCALL, session=session))
         return channel
 
     # -- reconnect supervision ---------------------------------------------------------
@@ -348,7 +316,7 @@ class ClamClient:
         lookups are replayed to revalidate proxies.
         """
         rpc_channel, ack = await self._bounded(
-            self._hello_rpc(self._url, self._offered_version, resume=self.session),
+            self._hello_rpc(self._url, resume=self.session),
             self._connect_timeout,
             self._url,
         )
@@ -357,9 +325,7 @@ class ClamClient:
         if self._channels == "two":
             try:
                 upcall_channel = await self._bounded(
-                    self._hello_upcall(
-                        self._url, rpc_channel.protocol_version, self.session
-                    ),
+                    self._hello_upcall(self._url, self.session),
                     self._connect_timeout,
                     self._url,
                 )
@@ -367,14 +333,13 @@ class ClamClient:
                 await rpc_channel.close()
                 raise
             self._upcall_service.adopt_channel(upcall_channel)
-            if upcall_channel.protocol_version >= FLOW_CONTROL_VERSION:
-                # Fresh channel, fresh cumulative grant arithmetic on
-                # both ends: rebuild the ledger and re-announce (same
-                # window sizes the connect asked for).
-                self._upcall_service.enable_credits(
-                    **_window_kwargs(*self._upcall_window)
-                )
-                await self._upcall_service.announce_credits()
+            # Fresh channel, fresh cumulative grant arithmetic on both
+            # ends: rebuild the ledger and re-announce (same window sizes
+            # the connect asked for).
+            self._upcall_service.enable_credits(
+                **_window_kwargs(*self._upcall_window)
+            )
+            await self._upcall_service.announce_credits()
             if self._upcall_task is not None and not self._upcall_task.done():
                 self._upcall_task.cancel()
             self._upcall_task = asyncio.get_running_loop().create_task(
@@ -615,11 +580,6 @@ class ClamClient:
     async def store_stats(self) -> dict[str, float]:
         """Per-topic, per-durable-id spill stats from the server's store."""
         return await self._builtin.store_stats()
-
-    @property
-    def protocol_version(self) -> int:
-        """The protocol version negotiated with the server."""
-        return self.rpc.channel.protocol_version
 
     @property
     def reconnects(self) -> int:

@@ -92,7 +92,7 @@ class UpcallService:
     def max_active(self) -> int:
         return self._max_active
 
-    # -- upcall-stream credits (protocol v4, dedicated stream only) -----------------
+    # -- upcall-stream credits (dedicated stream only) ------------------------------
 
     def enable_credits(
         self,
@@ -104,7 +104,7 @@ class UpcallService:
 
         Called (and re-called after every reconnect: cumulative credit
         arithmetic restarts with the channel) by the client runtime on
-        v4 two-stream connections; :meth:`announce_credits` must follow
+        two-stream connections; :meth:`announce_credits` must follow
         to send the initial grant that engages the server's gate.
         """
         self._ledger = CreditLedger(
@@ -307,8 +307,8 @@ class UpcallService:
         """Run the RUC procedure inside the server's trace context.
 
         The span opened here is the leaf of the distributed tree: its
-        parent is the server's upcall span, carried over by protocol
-        v2's ``trace_id``/``parent_span`` wire fields.  A handler that
+        parent is the server's upcall span, carried over by the UPCALL
+        frame's ``trace_id``/``parent_span`` fields.  A handler that
         makes RPCs back into the server extends the same trace further.
         """
         remote = (

@@ -92,8 +92,8 @@ class _Event:
     so the caches are cross-subscriber: ``payloads`` maps an upcall
     signature's :attr:`~repro.core.UpcallSignature.payload_key` to the
     bundled argument bytes, and ``frames`` is handed to the session's
-    batch sender to cache encoded frame templates (keyed by version and
-    trace context there).  First subscriber pays the marshalling, the
+    batch sender to cache encoded frame templates (keyed by trace
+    context there).  First subscriber pays the marshalling, the
     other N-1 reuse the bytes.
     """
 

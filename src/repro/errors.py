@@ -10,6 +10,8 @@ distributed upcalls (§4), dynamic loading and fault isolation (§2,
 
 from __future__ import annotations
 
+import asyncio
+
 
 class ClamError(Exception):
     """Base class for every error raised by this library."""
@@ -76,7 +78,7 @@ class DeadlineExpiredError(RpcError):
     """The call's propagated deadline expired before (or during) execution.
 
     Raised server-side when a call arrives with its wire deadline
-    (protocol v3 ``deadline_ms``) already spent, or when execution
+    (``deadline_ms``) already spent, or when execution
     overruns the remaining budget; the client sees it as the remote
     type of the resulting :class:`RemoteError`.
     """
@@ -92,8 +94,8 @@ class ServerOverloadedError(RpcError):
     declared idempotent, precisely because nothing executed.
 
     The hint is carried inside the exception message on the wire
-    (``... [retry_after_ms=N]``) so v1–v3 peers see a plain remote
-    error while flow-aware clients recover the structured field — see
+    (``... [retry_after_ms=N]``) because the EXCEPTION frame has no
+    field for it; the client recovers the structured field — see
     :func:`repro.flow.pack_retry_after` / ``parse_retry_after``.
     """
 
@@ -149,8 +151,7 @@ class RemoteStaleError(RemoteError, StaleHandleError):
 
     Raised client-side when the server reports ``StaleHandleError`` or
     ``ForgedHandleError`` for a handle this client holds — whether on a
-    synchronous call, on a batched post (reported out-of-band, protocol
-    v3), or when a lookup replayed across a reconnect finds the name
+    synchronous call, on a batched post (reported out-of-band), or when a lookup replayed across a reconnect finds the name
     rebound to a different tag.  It inherits from *both*
     :class:`RemoteError` (it describes a server-side rejection) and
     :class:`StaleHandleError` (the handle is dead; drop it and look the
@@ -170,13 +171,18 @@ class RegistrationError(UpcallError):
     """An upcall registration was rejected (bad procedure type, dead port)."""
 
 
-class FlushTimeoutError(UpcallError, TimeoutError):
+#: ``asyncio.TimeoutError`` is the builtin from Python 3.11 on, its own
+#: class before that; a timeout error here must be both.
+_TIMEOUT_BASES = tuple(dict.fromkeys((asyncio.TimeoutError, TimeoutError)))
+
+
+class FlushTimeoutError(UpcallError, *_TIMEOUT_BASES):
     """A fan-out flush timed out; the message names the laggards.
 
-    Subclasses :class:`TimeoutError` so existing ``except
-    asyncio.TimeoutError`` handlers (the builtin on Python >= 3.11)
-    keep working — callers just get told *which* subscriber is behind
-    and by how much instead of a bare timeout.
+    Subclasses :class:`TimeoutError` and ``asyncio.TimeoutError`` so
+    existing handlers for either keep working — callers just get told
+    *which* subscriber is behind and by how much instead of a bare
+    timeout.
     """
 
 
@@ -252,10 +258,9 @@ class NotLeaderError(ClusterError):
 
     Like :class:`ServerOverloadedError`'s ``retry_after_ms``, the hint
     rides inside the exception message on the wire
-    (``... [leader=url]``) so pre-fencing peers see a plain remote
-    error while replication-aware clients recover the structured
-    field — see :func:`repro.rpc.pack_leader_hint` /
-    ``parse_leader_hint``.
+    (``... [leader=url]``) because the EXCEPTION frame has no field for
+    it; the client recovers the structured field — see
+    :func:`repro.rpc.pack_leader_hint` / ``parse_leader_hint``.
     """
 
     def __init__(self, message: str, leader_url: str = ""):

@@ -5,7 +5,7 @@ bounded and responsive instead of slow everywhere:
 
 - **credits** (:class:`CreditGate` / :class:`CreditLedger`) bound what
   one producer may have in flight on a stream — batched calls toward a
-  server, upcalls toward a client (protocol v4);
+  server, upcalls toward a client;
 - **admission** (:class:`TokenBucket`, :class:`ConcurrencyLimit`,
   :class:`DeadlineAware`, :class:`AdmissionChain`) sheds work the
   server cannot serve usefully, before execution, with a retryable

@@ -19,8 +19,8 @@ Policies are pluggable and composable:
   queue-wait above ``target_wait`` multiplicatively shrinks the
   limit, every on-target completion additively regrows it, so the
   limit converges near the knee of the latency curve without tuning.
-- :class:`DeadlineAware` — sheds calls whose wire deadline (protocol
-  v3 ``deadline_ms``) cannot be met given the current backlog and the
+- :class:`DeadlineAware` — sheds calls whose wire deadline
+  (``deadline_ms``) cannot be met given the current backlog and the
   observed service time; running them would waste capacity on answers
   nobody will wait for.
 - :class:`AdmissionChain` — all of the above in sequence; first shed
@@ -34,8 +34,8 @@ which is how the e2e overload scenario keeps interactive latency flat
 while batch posts shed.
 
 The ``retry_after_ms`` hint travels inside the exception message text
-(``... [retry_after_ms=N]``) — v1–v3 peers see a plain remote error,
-flow-aware clients recover the field with :func:`parse_retry_after`.
+(``... [retry_after_ms=N]``) because the EXCEPTION frame has no field
+for it; the client recovers it with :func:`parse_retry_after`.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class DeadlineAware(AdmissionPolicy):
     """Shed calls that cannot finish inside their own deadline.
 
     Estimated sojourn = (queue ahead + 1) × EWMA service time.  A call
-    whose v3 ``deadline_ms`` is smaller than that would expire in the
+    whose ``deadline_ms`` is smaller than that would expire in the
     queue; executing it spends capacity on an answer the client has
     already abandoned.  Calls without a deadline are never judged.
     The hint is the estimated time for the backlog to drain.

@@ -9,14 +9,12 @@ jobs at the dispatcher boundary:
   :class:`~repro.flow.AdmissionChain` before dispatch; a shed raises
   :class:`~repro.errors.ServerOverloadedError` (with the
   ``retry_after_ms`` hint packed for the wire) and the dispatcher
-  answers without executing anything.  Admission needs no wire
-  support, so it applies to v1 peers as much as v4 ones.
-- **credit granting** — on a v4 channel, the batched-call window: an
+  answers without executing anything.
+- **credit granting** — the batched-call window: an
   initial grant right after HELLO, a fresh cumulative grant every
   half-window of drained asynchronous calls, and an idempotent
   re-announcement for every CREDIT probe (see
-  :class:`~repro.flow.CreditLedger`).  Pre-v4 channels get no grants
-  and their clients post ungated — exactly the pre-flow behaviour.
+  :class:`~repro.flow.CreditLedger`).
 - **accounting** — queue-wait and service-time samples feed the
   adaptive policies and the ``flow.*`` instruments; the per-channel
   in-flight peak (received minus drained) is the measurable form of
@@ -43,7 +41,7 @@ from repro.flow.credits import (
     message_cost,
 )
 from repro.flow.priority import PriorityClass, classify
-from repro.wire import FLOW_CONTROL_VERSION, CallMessage, CreditMessage
+from repro.wire import CallMessage, CreditMessage
 
 
 class FlowController:
@@ -139,7 +137,6 @@ class ChannelFlow:
     def __init__(self, controller: FlowController, channel):
         self.controller = controller
         self.channel = channel
-        self.credited = channel.protocol_version >= FLOW_CONTROL_VERSION
         self.ledger = CreditLedger(
             self._send_grant,
             window_msgs=controller.window_msgs,
@@ -170,9 +167,8 @@ class ChannelFlow:
     # -- credits ------------------------------------------------------------------
 
     async def announce(self) -> None:
-        """Initial grant / probe answer (no-op on pre-v4 channels)."""
-        if self.credited:
-            await self.ledger.announce()
+        """Initial grant / probe answer."""
+        await self.ledger.announce()
 
     async def probed(self, message: CreditMessage) -> None:
         """Answer a producer probe, repairing loss-leaked window first.
@@ -182,8 +178,6 @@ class ChannelFlow:
         written off (see :meth:`CreditLedger.reconcile`) so dropped
         frames can never strangle the window.
         """
-        if not self.credited:
-            return
         self.ledger.reconcile(
             message.msg_credit,
             message.byte_credit,
@@ -206,8 +200,7 @@ class ChannelFlow:
             return
         self.inflight = max(0, self.inflight - 1)
         self.inflight_bytes = max(0, self.inflight_bytes - message_cost(call.args))
-        if self.credited:
-            await self.ledger.drained(message_cost(call.args))
+        await self.ledger.drained(message_cost(call.args))
 
     # -- admission ----------------------------------------------------------------
 

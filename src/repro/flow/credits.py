@@ -1,4 +1,4 @@
-"""Credit-based flow control: the producer's window (protocol v4).
+"""Credit-based flow control: the producer's window (CREDIT frames).
 
 One :class:`CreditGate` sits on the producing side of a stream — the
 client's batched-call path, the server's upcall path — and admits a
@@ -27,8 +27,9 @@ deeply: a message costs ``len(args) + MESSAGE_OVERHEAD``
 (:func:`message_cost`), computed identically from the producer's
 outgoing and the consumer's incoming ``CallMessage``/``UpcallMessage``.
 
-A gate for a pre-v4 peer is *unlimited*: every acquire succeeds
-immediately and nothing is tracked — the pre-flow-control behaviour.
+A gate built *unlimited* — for a stream whose consumer never grants,
+such as a bare :class:`~repro.rpc.RpcConnection` or single-stream
+upcalls — admits every acquire immediately and tracks nothing.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class CreditGate:
         """Suggested batch size for a producer planning a drain.
 
         How many messages the current grant could admit right now,
-        clamped to ``[1, default]`` — an unlimited (pre-v4) gate just
+        clamped to ``[1, default]`` — an unlimited gate just
         returns ``default``.  Purely advisory: the drain still goes
         through :meth:`acquire_batch`, which enforces the window; this
         lets a producer with a large backlog (the store's replay pump)

@@ -9,7 +9,7 @@ those three, lower value = more urgent:
 
     INTERACTIVE (1)  >  SYNC (2)  >  BATCH (3)
 
-Calls carry their class on the wire (protocol v4 ``priority``); the
+Calls carry their class on the wire (the CALL ``priority`` field); the
 senders stamp the natural class automatically, and
 :func:`priority_scope` overrides it for a dynamic extent the same way
 :func:`repro.rpc.deadline_scope` carries deadlines.
@@ -38,7 +38,7 @@ T = TypeVar("T")
 class PriorityClass(enum.IntEnum):
     """Scheduling class of one unit of work; lower = more urgent.
 
-    The integer values are the wire encoding (protocol v4); 0 on the
+    The integer values are the wire encoding; 0 on the
     wire means "unspecified" and is mapped by the receiver to the
     natural class of the call shape.
     """

@@ -29,7 +29,6 @@ from repro.ipc.unix import UnixTransport
 from repro.ipc.tcp import TcpTransport
 from repro.ipc.latency import LatencyConnection, LatencyTransport
 from repro.ipc.channel import MessageChannel
-from repro.ipc.loop import install_uvloop, loop_mode, uvloop_available
 from repro.ipc.registry import (
     dial,
     register_scheme,
@@ -52,9 +51,6 @@ __all__ = [
     "LatencyTransport",
     "MessageChannel",
     "dial",
-    "install_uvloop",
-    "loop_mode",
-    "uvloop_available",
     "register_scheme",
     "serve",
     "transport_for_url",

@@ -10,32 +10,26 @@ channel, each its own stream.
 from __future__ import annotations
 
 from repro.ipc.transport import Connection
-from repro.wire import PROTOCOL_VERSION, Message, decode_message, encode_message
+from repro.wire import Message, decode_message, encode_message
 
 
 class MessageChannel:
     """Frame pipe specialized to typed wire messages.
 
-    ``protocol_version`` is the version both ends agreed on during the
-    HELLO exchange; every message after the HELLO is encoded and
-    decoded at that version, which is how a v2 process talks to a v1
-    peer without either side misparsing trace-context fields.
+    Every frame, HELLO included, is encoded and decoded in the one wire
+    layout; the HELLO exchange only checks that the peer speaks it.
     """
 
     def __init__(self, connection: Connection):
         self._connection = connection
-        self.protocol_version = PROTOCOL_VERSION
 
     async def send(self, message: Message) -> None:
-        await self._connection.send(
-            encode_message(message, version=self.protocol_version)
-        )
+        await self._connection.send(encode_message(message))
 
     async def send_many(self, messages) -> None:
         """Send several messages in one coalesced connection write."""
-        version = self.protocol_version
         await self._connection.send_many(
-            [encode_message(message, version=version) for message in messages]
+            [encode_message(message) for message in messages]
         )
 
     async def send_encoded(self, frames) -> None:
@@ -44,16 +38,12 @@ class MessageChannel:
         The encode-once/write-N fast path: the caller already holds
         frame bytes (a patched upcall template, see
         :func:`repro.wire.patch_upcall_frame`) and this skips straight
-        to the transport's single write+drain.  The caller is
-        responsible for having encoded at this channel's negotiated
-        ``protocol_version``.
+        to the transport's single write+drain.
         """
         await self._connection.send_many(frames)
 
     async def recv(self) -> Message:
-        return decode_message(
-            await self._connection.recv(), version=self.protocol_version
-        )
+        return decode_message(await self._connection.recv())
 
     async def close(self) -> None:
         await self._connection.close()

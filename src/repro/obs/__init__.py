@@ -6,7 +6,7 @@ counterpart.  Three pieces:
 
 - :mod:`repro.obs.context` — the W3C-traceparent-style span context
   that rides the wire (``trace_id``/``parent_span`` on call, batch,
-  and upcall messages, protocol v2), carried between layers inside a
+  and upcall messages), carried between layers inside a
   process by a :mod:`contextvars` variable so a synchronous call →
   server handler → distributed upcall → client RUC execution forms
   one tree;

@@ -4,7 +4,7 @@ A :class:`SpanContext` is the pair ``(trace_id, span_id)``.  The
 ``trace_id`` names the whole logical operation (one per root span);
 the ``span_id`` names one timed region inside it.  When a call, batch
 member, or distributed upcall crosses a channel, the sender stamps its
-*current* context onto the message (protocol v2's ``trace_id`` /
+*current* context onto the message (its ``trace_id`` /
 ``parent_span`` fields) and the receiver adopts it as the parent of
 whatever it does next — which is how a client call, the server
 handler it triggers, the distributed upcall that handler makes, and

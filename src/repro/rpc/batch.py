@@ -115,7 +115,7 @@ class BatchQueue:
     async def post(self, call: CallMessage, *, nowait: bool = False) -> None:
         """Queue one asynchronous call; may trigger a size-based flush.
 
-        With a credit gate attached (protocol v4), the post first
+        With a credit gate attached, the post first
         acquires window for the call — blocking while the server's
         grant is exhausted, which is how a slow server stalls the
         producer instead of queueing unboundedly.  ``nowait=True``

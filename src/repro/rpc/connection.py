@@ -19,8 +19,8 @@ future.
 Resilience (this layer's contribution to the fault story):
 
 - synchronous calls propagate the remaining ambient deadline
-  (:func:`repro.rpc.resilience.deadline_scope`) on the wire when the
-  negotiated protocol speaks v3, so the server can abort expired work;
+  (:func:`repro.rpc.resilience.deadline_scope`) on the wire, so the
+  server can abort expired work;
 - calls flagged ``idempotent`` retry under a :class:`RetryPolicy`,
   reusing the *same serial* each attempt — the server's duplicate
   cache then guarantees at-most-once execution even when a retry
@@ -70,9 +70,6 @@ from repro.rpc.resilience import (
     remaining_deadline,
 )
 from repro.wire import (
-    DEADLINE_VERSION,
-    FENCING_VERSION,
-    FLOW_CONTROL_VERSION,
     BatchMessage,
     CallMessage,
     CreditMessage,
@@ -115,12 +112,11 @@ class RpcConnection:
         self._serials = itertools.count(1)
         self._waiting: dict[int, asyncio.Future] = {}
         # The credit gate throttles batched posts to the server's grant.
-        # It engages only when the caller opts in AND the channel speaks
-        # v4 — a bare RpcConnection (tests, pre-flow peers) stays
-        # unlimited and behaves exactly as before.
+        # It engages only when the caller opts in: a bare RpcConnection
+        # (tests, a listener that never grants) stays unlimited.
         self._flow_credits = flow_credits
         self._credit_gate = CreditGate(
-            unlimited=not self._gate_active(channel),
+            unlimited=not flow_credits,
             send_probe=self._send_credit_probe,
             metrics=metrics,
             tracer=tracer,
@@ -156,9 +152,6 @@ class RpcConnection:
         self.late_replies = 0
         self.overload_retries = 0
         self.overload_posts = 0
-
-    def _gate_active(self, channel: MessageChannel) -> bool:
-        return self._flow_credits and channel.protocol_version >= FLOW_CONTROL_VERSION
 
     async def _send_credit_probe(self, used_msgs: int, used_bytes: int) -> None:
         await self._channel.send(
@@ -299,7 +292,7 @@ class RpcConnection:
     ) -> None:
         """Asynchronous remote call; queued for batching, no reply.
 
-        On a credit-gated connection (protocol v4), the post blocks
+        On a credit-gated connection, the post blocks
         while the server's window is exhausted; ``nowait=True`` raises
         :class:`~repro.errors.CreditExhaustedError` instead.
         """
@@ -326,7 +319,7 @@ class RpcConnection:
             fence_counter=fence_counter,
         )
         # Remember where this serial was aimed so an out-of-band server
-        # error (stale handle on a batched post, protocol v3) can be
+        # error (stale handle on a batched post) can be
         # pinned back on the right handle.
         self._posted[serial] = (handle.oid, handle.tag)
         while len(self._posted) > _POSTED_MEMORY:
@@ -340,7 +333,7 @@ class RpcConnection:
     # -- deadlines and stale handles ----------------------------------------------
 
     def _effective_timeout(self, method: str) -> tuple[float | None, int]:
-        """Local wait bound and its wire form (``deadline_ms``, v3+)."""
+        """Local wait bound and its wire form (``deadline_ms``)."""
         timeout = self._call_timeout
         budget = remaining_deadline()
         if budget is not None:
@@ -349,20 +342,11 @@ class RpcConnection:
                     f"deadline already expired before calling {method!r}"
                 )
             timeout = budget if timeout is None else min(timeout, budget)
-        deadline_ms = 0
-        if timeout is not None and self._channel.protocol_version >= DEADLINE_VERSION:
-            deadline_ms = max(1, int(timeout * 1000))
+        deadline_ms = 0 if timeout is None else max(1, int(timeout * 1000))
         return timeout, deadline_ms
 
     def _fence_fields(self) -> tuple[int, int]:
-        """The ambient fencing token as wire fields (0/0 when unfenced).
-
-        Only stamped when the channel speaks v5 — on an older wire the
-        fields would not be encoded anyway, and keeping them zero makes
-        the message byte-identical to a pre-fencing client's.
-        """
-        if self._channel.protocol_version < FENCING_VERSION:
-            return 0, 0
+        """The ambient fencing token as wire fields (0/0 when unfenced)."""
         token = current_fence()
         if token is None:
             return 0, 0
@@ -395,8 +379,7 @@ class RpcConnection:
         Handle faults become :class:`RemoteStaleError`; server sheds
         become a local :class:`~repro.errors.ServerOverloadedError`
         with the ``retry_after_ms`` hint recovered from the message
-        text, so the retry loop (and any caller) sees the typed error
-        even across pre-v4 wires.
+        text, so the retry loop (and any caller) sees the typed error.
         """
         if exc.remote_type == "ServerOverloadedError":
             return ServerOverloadedError(
@@ -527,8 +510,7 @@ class RpcConnection:
     def _note_async_failure(self, message: ExceptionMessage) -> None:
         """Out-of-band server error for a call with no waiting future.
 
-        Protocol v3 servers report handle faults in *batched posts*
-        this way; the serial maps back to the handle the post targeted,
+        The server reports handle faults in *batched posts* this way; the serial maps back to the handle the post targeted,
         which is then marked stale so the next use of that proxy raises
         :class:`~repro.errors.RemoteStaleError`.  Anything else is a
         straggler from a timed-out call.
@@ -583,7 +565,7 @@ class RpcConnection:
         self._disconnected.clear()
         # The server's flow state restarted with the channel; cumulative
         # credit arithmetic starts over (a fresh grant follows HELLO).
-        self._credit_gate.reset(unlimited=not self._gate_active(channel))
+        self._credit_gate.reset(unlimited=not self._flow_credits)
         self.reconnects += 1
         if self._metrics is not None:
             self._metrics.counter("rpc.client.reconnects").inc()

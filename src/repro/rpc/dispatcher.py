@@ -43,7 +43,6 @@ from repro.obs.profile import reset_layer, set_layer
 from repro.rpc.fencing import FencingToken, fence_scope
 from repro.stubs import InterfaceSpec, Skeleton, interface_spec
 from repro.wire import (
-    DEADLINE_VERSION,
     BatchMessage,
     CallMessage,
     CreditMessage,
@@ -153,8 +152,8 @@ class Dispatcher:
         self.deadline_expired = 0
         #: Per-channel flow state (:class:`repro.flow.ChannelFlow`),
         #: installed by the server runtime after HELLO.  When None —
-        #: bare dispatchers, pre-flow servers — every call is admitted
-        #: and no credits are granted.
+        #: bare dispatchers — every call is admitted and no credits are
+        #: granted.
         self.flow = None
 
     def set_builtin(self, skeleton: Skeleton, descriptor: Descriptor) -> None:
@@ -277,7 +276,7 @@ class Dispatcher:
         queue_wait = time.monotonic() - arrived
         admitted = False
         descriptor: Descriptor | None = None
-        # The caller's span, carried in on the wire (protocol v2); it
+        # The caller's span, carried in on the wire; it
         # becomes the parent of the handler span — or, when nobody is
         # tracing here, merely the ambient context, so the trace still
         # flows through to any distributed upcalls this call makes.
@@ -411,7 +410,7 @@ class Dispatcher:
     ) -> bytes | None:
         """Run the call body, bounded by what remains of its deadline.
 
-        The caller's fencing token (protocol v5, zero when unfenced) is
+        The caller's fencing token (zero when unfenced) is
         restored as the ambient fence for the handler's dynamic extent,
         so guarded resources read it via
         :func:`repro.rpc.current_fence` — no signature changes.
@@ -457,15 +456,10 @@ class Dispatcher:
             else:
                 await self._answer(call, answer, channel)
             return
-        # Batched posts have nobody waiting, but a handle fault is
-        # actionable on the client (drop the proxy): v3 peers get an
-        # out-of-band notification keyed by the post's serial.  Older
-        # clients ignore unknown serials, so this is interop-safe — but
-        # only v3 clients are sent it at all.
-        if (
-            isinstance(exc, (HandleError, ServerOverloadedError))
-            and channel.protocol_version >= DEADLINE_VERSION
-        ):
+        # Batched posts have nobody waiting, but a handle fault (or a
+        # shed) is actionable on the client: it gets an out-of-band
+        # notification keyed by the post's serial.
+        if isinstance(exc, (HandleError, ServerOverloadedError)):
             await channel.send(
                 ExceptionMessage(
                     serial=call.serial,

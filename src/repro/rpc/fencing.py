@@ -18,7 +18,7 @@ checks them — both below the cluster package in the import order):
 - :func:`fence_scope` / :func:`current_fence` — contextvar plumbing,
   mirroring ``deadline_scope``/``priority_scope``: a client enters
   ``fence_scope(token)`` and every call made inside is stamped with
-  the token at protocol v5; the dispatcher re-enters the scope around
+  the token; the dispatcher re-enters the scope around
   handler execution so guarded resources read the *caller's* token
   via :func:`current_fence` without any signature changes.
 - :class:`FenceGuard` — per-key high-water-mark admission: a write
@@ -76,7 +76,7 @@ def fence_scope(token: Optional[FencingToken]) -> Iterator[None]:
     """Stamp ``token`` on every call made inside the ``with`` block.
 
     The RPC connection reads the ambient token when building each
-    CALL message (protocol v5); the dispatcher restores it around
+    CALL message; the dispatcher restores it around
     handler execution on the far side.  Nests: the innermost scope
     wins, and ``fence_scope(None)`` explicitly un-fences a region.
     """
@@ -152,10 +152,9 @@ _HINT_PREFIX = " [leader="
 def pack_leader_hint(message: str, leader_url: str) -> str:
     """Append a ``[leader=url]`` hint to an error message.
 
-    Carried in the message text (like ``retry_after_ms``) so peers
-    that predate replication see a plain remote error while
-    replication-aware clients recover the hint with
-    :func:`parse_leader_hint`.
+    Carried in the message text (like ``retry_after_ms``) because the
+    EXCEPTION frame has no field for it; the client recovers the hint
+    with :func:`parse_leader_hint`.
     """
     if not leader_url:
         return message

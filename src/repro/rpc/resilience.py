@@ -7,7 +7,7 @@ Three small pieces the RPC connection composes:
   stretch of work in ``with deadline_scope(0.5):`` and every
   synchronous call made inside it (a) bounds its local wait by the
   remaining budget and (b) propagates the remainder on the wire
-  (protocol v3 ``deadline_ms``) so the server can abort work nobody
+  (``deadline_ms``) so the server can abort work nobody
   will wait for.  Relative budgets, never absolute timestamps — no
   clock synchronization between peers is assumed.
 

@@ -92,11 +92,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
              "incidents (deadline expiry, upcall degradation, "
              "quarantine); without it dumps stay in memory only",
     )
-    parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop (requires the optional repro[uvloop] extra)",
-    )
     return parser.parse_args(argv)
 
 
@@ -143,11 +138,6 @@ async def run(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    if args.uvloop:
-        from repro.ipc import install_uvloop, loop_mode
-
-        install_uvloop(strict=True)
-        print(f"event loop: {loop_mode()}", flush=True)
     try:
         asyncio.run(run(args))
     except KeyboardInterrupt:

@@ -158,7 +158,7 @@ class ClamServer:
         self.tracer = Tracer()
         #: End-to-end flow control (see repro.flow): the admission
         #: chain judging every inbound call, and the credit windows
-        #: granted to v4 clients' batched-call streams.  ``admission``
+        #: granted to clients' batched-call streams.  ``admission``
         #: None means admit everything — the seed behaviour.
         self.flow = FlowController(
             admission=admission,
@@ -261,10 +261,9 @@ class ClamServer:
         hello = await channel.recv()
         if not isinstance(hello, HelloMessage):
             raise ProtocolError(f"expected HELLO, got {hello!r}")
-        # The HELLO layout never changes across versions, so it can be
-        # read before agreeing on one; everything after it is encoded
-        # at the negotiated version (min of the two ends).
-        channel.protocol_version = negotiate_version(hello.protocol_version)
+        # The HELLO layout never changes, so a peer below the one wire
+        # version is refused here, before any other frame is read.
+        negotiate_version(hello.protocol_version)
         if hello.role is ChannelRole.RPC:
             await self._run_rpc_channel(channel, hello)
         else:
@@ -304,20 +303,13 @@ class ClamServer:
             # disconnect yet) instead of being rejected as a duplicate.
             session.generation += 1
         session.rpc_channel = channel
-        # Acknowledge with the negotiated version: the client takes the
-        # min of what it asked for and what we answer, so both ends of
-        # the channel agree without a second round trip.  A resuming
-        # client recognizes its old token in the ack; a different token
-        # tells it the old session (and its state) lingered out.
-        await channel.send(
-            HelloMessage(
-                role=ChannelRole.RPC,
-                session=session.token,
-                protocol_version=channel.protocol_version,
-            )
-        )
+        # Acknowledge with our version, which the client checks in turn.
+        # A resuming client recognizes its old token in the ack; a
+        # different token tells it the old session (and its state)
+        # lingered out.
+        await channel.send(HelloMessage(role=ChannelRole.RPC, session=session.token))
         # Flow state is per channel (credit arithmetic restarts with
-        # it); on a v4 stream the initial grant follows the HELLO ack
+        # it); the initial grant follows the HELLO ack
         # immediately, so the client's gate opens before its first post.
         session.dispatcher.flow = self.flow.channel_flow(channel)
         await session.dispatcher.flow.announce()

@@ -88,9 +88,9 @@ class Session:
         # The upcall stream's credit window, roles reversed from the
         # RPC stream: the *server* produces, the client grants.  The
         # gate starts unlimited and engages only when the client sends
-        # its first grant (a v4 two-stream client does so right after
-        # HELLO), so anything that never grants — old clients,
-        # single-stream mode, bare tests — behaves exactly as before.
+        # its first grant (a two-stream client does so right after
+        # HELLO), so anything that never grants — single-stream mode,
+        # bare tests — is not paced.
         self.upcall_gate = CreditGate(
             unlimited=True,
             send_probe=self._send_upcall_probe,
@@ -349,7 +349,6 @@ class Session:
         metrics = self.server.metrics
         trace_id = ctx.trace_id if ctx else ""
         parent_span = ctx.span_id if ctx else 0
-        version = channel.protocol_version
         results: list[bytes | Exception] = []
         async with self._upcall_slots:
             index = 0
@@ -380,19 +379,16 @@ class Session:
                     future: asyncio.Future = loop.create_future()
                     futures.append(future)
                     self._waiting[serial] = future
-                    # Encode once per event (per version/trace context),
+                    # Encode once per event (per trace context),
                     # then patch the two per-send header fields.  The
                     # payload object doubles as the cache key: the
                     # fan-out group hands every subscriber the same
                     # bytes object, so hits compare by identity.
-                    key = (version, trace_id, parent_span, payload)
+                    key = (trace_id, parent_span, payload)
                     template = cache.get(key) if cache is not None else None
                     if template is None:
                         template = encode_upcall_template(
-                            payload,
-                            trace_id=trace_id,
-                            parent_span=parent_span,
-                            version=version,
+                            payload, trace_id=trace_id, parent_span=parent_span
                         )
                         if cache is not None:
                             cache[key] = template

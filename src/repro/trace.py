@@ -19,7 +19,7 @@ Design constraints:
   current :class:`repro.obs.context.SpanContext` (or of an explicit
   remote ``parent``) and makes itself current for its dynamic extent,
   so nested spans — including ones in *other processes*, reached via
-  the protocol-v2 ``trace_id``/``parent_span`` wire fields — form one
+  the ``trace_id``/``parent_span`` wire fields — form one
   tree.
 """
 

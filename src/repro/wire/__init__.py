@@ -12,12 +12,8 @@ Messages encode to XDR with :func:`encode_message` and decode with
 """
 
 from repro.wire.messages import (
-    DEADLINE_VERSION,
-    FENCING_VERSION,
-    FLOW_CONTROL_VERSION,
     MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
-    TRACE_CONTEXT_VERSION,
     BatchMessage,
     CallMessage,
     ChannelRole,
@@ -37,12 +33,8 @@ from repro.wire.messages import (
 )
 
 __all__ = [
-    "DEADLINE_VERSION",
-    "FENCING_VERSION",
-    "FLOW_CONTROL_VERSION",
     "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
-    "TRACE_CONTEXT_VERSION",
     "BatchMessage",
     "CallMessage",
     "ChannelRole",

@@ -24,32 +24,10 @@ Design notes mapping to the paper:
 - Method arguments and results travel as opaque XDR payloads produced
   by the stub layer; the transport does not interpret them.
 
-Versioning: the codecs are parameterized by the *negotiated* protocol
-version of the channel they run on.  ``HelloMessage`` itself encodes
-identically in every version (it is the negotiation), and each side
-settles on ``min(its version, the peer's version)`` — see
-:func:`negotiate_version`.  Version 2 appends the distributed-trace
-context (``trace_id``/``parent_span``) to ``CallMessage`` (and hence
-every ``BatchMessage`` member) and ``UpcallMessage``; on a v1 channel
-those fields are simply not encoded, so a context-unaware peer keeps
-working and the trace tree loses only the hop it cannot see.
-Version 3 appends ``deadline_ms`` to ``CallMessage`` — the caller's
-remaining time budget, letting the server abort work nobody is
-waiting for; a v2 peer never sees the field and simply runs every
-call to completion, so deadlines degrade to client-side timeouts.
-Version 4 adds flow control (see :mod:`repro.flow`): a new
-``CreditMessage`` granting the peer a cumulative message/byte window
-on a stream, and a ``priority`` class on ``CallMessage``.  A v3 peer
-never receives CREDIT frames and posts without a window — credits
-degrade to the pre-v4 unbounded behaviour, while server-side
-admission control (which needs no wire support) still applies.
-Version 5 appends the fencing token (``fence_epoch``/``fence_counter``,
-see :mod:`repro.rpc.fencing`) to ``CallMessage``: the caller's lease
-credential, checked by guarded resources against a high-water mark so
-a paused-and-resumed lease holder cannot clobber its successor.  0/0
-means "unfenced"; a v4 peer never sees the fields and all its writes
-arrive unfenced, which guards admit — fencing protects fenced writers
-from *each other*, not from legacy peers.
+Versioning: there is one frame layout, protocol version 5.  HELLO
+carries the sender's version and :func:`negotiate_version` gates on
+it: a peer below 5 is refused before any other frame is read, and a
+newer peer is answered with 5.
 """
 
 from __future__ import annotations
@@ -63,23 +41,11 @@ from repro.errors import ProtocolError, XdrError
 from repro.xdr import XdrStream
 from repro.xdr.stream import DEFAULT_MAX_LENGTH
 
-#: Bumped when the frame layout changes; negotiated in HELLO.
+#: The frame layout's version, exchanged in HELLO.  Bumped when it changes.
 PROTOCOL_VERSION = 5
 
-#: Oldest version this peer still speaks.
-MIN_PROTOCOL_VERSION = 1
-
-#: First version whose frames carry trace context.
-TRACE_CONTEXT_VERSION = 2
-
-#: First version whose calls carry a propagated deadline.
-DEADLINE_VERSION = 3
-
-#: First version with credit-based flow control and call priorities.
-FLOW_CONTROL_VERSION = 4
-
-#: First version whose calls carry a fencing token.
-FENCING_VERSION = 5
+#: Oldest version this peer speaks: the only one.
+MIN_PROTOCOL_VERSION = PROTOCOL_VERSION
 
 
 def negotiate_version(peer_version: int) -> int:
@@ -120,13 +86,11 @@ class Message:
 
     TYPE_CODE: ClassVar[_TypeCode]
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         raise NotImplementedError
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "Message":
+    def unbundle(cls, stream: XdrStream) -> "Message":
         raise NotImplementedError
 
 
@@ -146,17 +110,15 @@ class HelloMessage(Message):
     session: str = ""
     protocol_version: int = PROTOCOL_VERSION
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
-        # The HELLO layout never changes — it must be readable by any
-        # peer before negotiation has happened.
+    def bundle(self, stream: XdrStream) -> None:
+        # The HELLO layout never changes, so a peer of any version can
+        # read it and learn that the versions do not match.
         stream.xenum(int(self.role), allowed=(1, 2))
         stream.xstring(self.session)
         stream.xuint(self.protocol_version)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "HelloMessage":
+    def unbundle(cls, stream: XdrStream) -> "HelloMessage":
         role = ChannelRole(stream.xenum(allowed=(1, 2)))
         session = stream.xstring()
         peer_version = stream.xuint()
@@ -171,20 +133,20 @@ class CallMessage(Message):
     interface lives at oid 0 with tag 0.  ``args`` is the opaque XDR
     payload the client stub bundled.
 
-    ``trace_id``/``parent_span`` (protocol v2) tie the call into the
+    ``trace_id``/``parent_span`` tie the call into the
     caller's distributed trace; empty/0 means "untraced".
 
-    ``deadline_ms`` (protocol v3) is the caller's *remaining* time
+    ``deadline_ms`` is the caller's *remaining* time
     budget in milliseconds at send time — relative, so no clock
     synchronization is assumed; 0 means "no deadline".  The server
     measures the budget from its own receipt of the frame.
 
-    ``priority`` (protocol v4) is the call's scheduling class — one of
+    ``priority`` is the call's scheduling class — one of
     the :class:`repro.flow.PriorityClass` values, or 0 for
     "unspecified", which the receiver maps to the natural class of the
     call shape (sync → SYNC, batched post → BATCH).
 
-    ``fence_epoch``/``fence_counter`` (protocol v5) carry the caller's
+    ``fence_epoch``/``fence_counter`` carry the caller's
     :class:`repro.rpc.FencingToken` — its lease credential, compared
     lexicographically by fence guards on the server.  0/0 means the
     call is unfenced.
@@ -205,63 +167,35 @@ class CallMessage(Message):
     fence_epoch: int = 0
     fence_counter: int = 0
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(self.serial)
         stream.xuhyper(self.oid)
         stream.xuhyper(self.tag)
         stream.xstring(self.method)
         stream.xopaque(self.args)
         stream.xbool(self.expects_reply)
-        if version >= TRACE_CONTEXT_VERSION:
-            stream.xstring(self.trace_id)
-            stream.xuhyper(self.parent_span)
-        if version >= DEADLINE_VERSION:
-            stream.xuint(self.deadline_ms)
-        if version >= FLOW_CONTROL_VERSION:
-            stream.xuint(self.priority)
-        if version >= FENCING_VERSION:
-            stream.xuhyper(self.fence_epoch)
-            stream.xuhyper(self.fence_counter)
+        stream.xstring(self.trace_id)
+        stream.xuhyper(self.parent_span)
+        stream.xuint(self.deadline_ms)
+        stream.xuint(self.priority)
+        stream.xuhyper(self.fence_epoch)
+        stream.xuhyper(self.fence_counter)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "CallMessage":
-        serial = stream.xuint()
-        oid = stream.xuhyper()
-        tag = stream.xuhyper()
-        method = stream.xstring()
-        args = stream.xopaque()
-        expects_reply = stream.xbool()
-        trace_id = ""
-        parent_span = 0
-        deadline_ms = 0
-        priority = 0
-        fence_epoch = 0
-        fence_counter = 0
-        if version >= TRACE_CONTEXT_VERSION:
-            trace_id = stream.xstring()
-            parent_span = stream.xuhyper()
-        if version >= DEADLINE_VERSION:
-            deadline_ms = stream.xuint()
-        if version >= FLOW_CONTROL_VERSION:
-            priority = stream.xuint()
-        if version >= FENCING_VERSION:
-            fence_epoch = stream.xuhyper()
-            fence_counter = stream.xuhyper()
+    def unbundle(cls, stream: XdrStream) -> "CallMessage":
         return cls(
-            serial=serial,
-            oid=oid,
-            tag=tag,
-            method=method,
-            args=args,
-            expects_reply=expects_reply,
-            trace_id=trace_id,
-            parent_span=parent_span,
-            deadline_ms=deadline_ms,
-            priority=priority,
-            fence_epoch=fence_epoch,
-            fence_counter=fence_counter,
+            serial=stream.xuint(),
+            oid=stream.xuhyper(),
+            tag=stream.xuhyper(),
+            method=stream.xstring(),
+            args=stream.xopaque(),
+            expects_reply=stream.xbool(),
+            trace_id=stream.xstring(),
+            parent_span=stream.xuhyper(),
+            deadline_ms=stream.xuint(),
+            priority=stream.xuint(),
+            fence_epoch=stream.xuhyper(),
+            fence_counter=stream.xuhyper(),
         )
 
 
@@ -274,14 +208,12 @@ class ReplyMessage(Message):
     serial: int
     results: bytes
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(self.serial)
         stream.xopaque(self.results)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "ReplyMessage":
+    def unbundle(cls, stream: XdrStream) -> "ReplyMessage":
         return cls(serial=stream.xuint(), results=stream.xopaque())
 
 
@@ -296,16 +228,14 @@ class ExceptionMessage(Message):
     message: str
     traceback: str = ""
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(self.serial)
         stream.xstring(self.remote_type)
         stream.xstring(self.message)
         stream.xstring(self.traceback)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "ExceptionMessage":
+    def unbundle(cls, stream: XdrStream) -> "ExceptionMessage":
         return cls(
             serial=stream.xuint(),
             remote_type=stream.xstring(),
@@ -331,17 +261,15 @@ class BatchMessage(Message):
             if call.expects_reply:
                 raise ProtocolError("batched calls must not expect replies")
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(len(self.calls))
         for call in self.calls:
-            call.bundle(stream, version)
+            call.bundle(stream)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "BatchMessage":
+    def unbundle(cls, stream: XdrStream) -> "BatchMessage":
         count = stream.xuint()
-        calls = tuple(CallMessage.unbundle(stream, version) for _ in range(count))
+        calls = tuple(CallMessage.unbundle(stream) for _ in range(count))
         return cls(calls=calls)
 
 
@@ -363,35 +291,23 @@ class UpcallMessage(Message):
     trace_id: str = ""
     parent_span: int = 0
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(self.serial)
         stream.xuhyper(self.ruc_id)
         stream.xopaque(self.args)
         stream.xbool(self.expects_reply)
-        if version >= TRACE_CONTEXT_VERSION:
-            stream.xstring(self.trace_id)
-            stream.xuhyper(self.parent_span)
+        stream.xstring(self.trace_id)
+        stream.xuhyper(self.parent_span)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "UpcallMessage":
-        serial = stream.xuint()
-        ruc_id = stream.xuhyper()
-        args = stream.xopaque()
-        expects_reply = stream.xbool()
-        trace_id = ""
-        parent_span = 0
-        if version >= TRACE_CONTEXT_VERSION:
-            trace_id = stream.xstring()
-            parent_span = stream.xuhyper()
+    def unbundle(cls, stream: XdrStream) -> "UpcallMessage":
         return cls(
-            serial=serial,
-            ruc_id=ruc_id,
-            args=args,
-            expects_reply=expects_reply,
-            trace_id=trace_id,
-            parent_span=parent_span,
+            serial=stream.xuint(),
+            ruc_id=stream.xuhyper(),
+            args=stream.xopaque(),
+            expects_reply=stream.xbool(),
+            trace_id=stream.xstring(),
+            parent_span=stream.xuhyper(),
         )
 
 
@@ -404,14 +320,12 @@ class UpcallReplyMessage(Message):
     serial: int
     results: bytes
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(self.serial)
         stream.xopaque(self.results)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "UpcallReplyMessage":
+    def unbundle(cls, stream: XdrStream) -> "UpcallReplyMessage":
         return cls(serial=stream.xuint(), results=stream.xopaque())
 
 
@@ -426,16 +340,14 @@ class UpcallExceptionMessage(Message):
     message: str
     traceback: str = ""
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuint(self.serial)
         stream.xstring(self.remote_type)
         stream.xstring(self.message)
         stream.xstring(self.traceback)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "UpcallExceptionMessage":
+    def unbundle(cls, stream: XdrStream) -> "UpcallExceptionMessage":
         return cls(
             serial=stream.xuint(),
             remote_type=stream.xstring(),
@@ -446,7 +358,7 @@ class UpcallExceptionMessage(Message):
 
 @dataclass(frozen=True)
 class CreditMessage(Message):
-    """Flow-control window announcement for one stream (protocol v4).
+    """Flow-control window announcement for one stream.
 
     Credits are *cumulative absolutes*, not deltas: the consumer says
     "you may have sent up to ``msg_credit`` messages / ``byte_credit``
@@ -469,15 +381,13 @@ class CreditMessage(Message):
     byte_credit: int
     probe: bool = False
 
-    def bundle(self, stream: XdrStream, version: int = PROTOCOL_VERSION) -> None:
+    def bundle(self, stream: XdrStream) -> None:
         stream.xuhyper(self.msg_credit)
         stream.xuhyper(self.byte_credit)
         stream.xbool(self.probe)
 
     @classmethod
-    def unbundle(
-        cls, stream: XdrStream, version: int = PROTOCOL_VERSION
-    ) -> "CreditMessage":
+    def unbundle(cls, stream: XdrStream) -> "CreditMessage":
         return cls(
             msg_credit=stream.xuhyper(),
             byte_credit=stream.xuhyper(),
@@ -501,30 +411,28 @@ _MESSAGE_TYPES: dict[int, Type[Message]] = {
 }
 
 
-def encode_message(message: Message, *, version: int = PROTOCOL_VERSION) -> bytes:
-    """Bundle one message into a frame payload at ``version``.
+def encode_message(message: Message) -> bytes:
+    """Bundle one message into a frame payload.
 
     Delivery-path frames take their compiled codec (see "Compiled
     fixed-layout codecs" below); everything else, and any value a
     compiled codec declines, takes :func:`encode_message_interpreted`.
     """
     encoder = _COMPILED_ENCODERS.get(message.__class__)
-    if encoder is not None and version in _COMPILED_VERSIONS:
+    if encoder is not None:
         try:
-            return encoder(message, version)
+            return encoder(message)
         except Exception:
             pass  # declined: the walk encodes it or raises its own error
-    return encode_message_interpreted(message, version=version)
+    return encode_message_interpreted(message)
 
 
-def encode_message_interpreted(
-    message: Message, *, version: int = PROTOCOL_VERSION
-) -> bytes:
+def encode_message_interpreted(message: Message) -> bytes:
     """The per-field :class:`XdrStream` walk: reference and fallback codec."""
     stream = XdrStream.encoder()
     try:
         stream.xuint(int(message.TYPE_CODE))
-        message.bundle(stream, version)
+        message.bundle(stream)
         return stream.getvalue()
     finally:
         stream.release()
@@ -534,14 +442,14 @@ def encode_message_interpreted(
 #
 # A fan-out post delivers one event to N subscribers.  Everything in
 # the UpcallMessage frame except ``serial`` and ``ruc_id`` is identical
-# across those N sends (same args payload, same trace context, same
-# negotiated version), and both variable fields are fixed-width
-# integers at fixed offsets right behind the type code:
+# across those N sends (same args payload, same trace context), and
+# both variable fields are fixed-width integers at fixed offsets right
+# behind the type code:
 #
 #   bytes [0:4)   xuint  TYPE_CODE (UPCALL = 6)
 #   bytes [4:8)   xuint  serial
 #   bytes [8:16)  xuhyper ruc_id
-#   ...           xopaque args, xbool expects_reply, v2+ trace fields
+#   ...           xopaque args, xbool expects_reply, trace fields
 #
 # So the frame is marshalled *once* into a template with both fields
 # zeroed, and each subscriber send is a buffer copy plus two
@@ -564,20 +472,16 @@ def encode_upcall_template(
     expects_reply: bool = True,
     trace_id: str = "",
     parent_span: int = 0,
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
     """Encode an UpcallMessage frame once, with serial/ruc_id zeroed.
 
     The result is the shared marshalling work of an N-subscriber
     fan-out; :func:`patch_upcall_frame` specializes a copy per send.
     """
-    if version in _COMPILED_VERSIONS:
-        try:
-            return _pack_upcall(
-                0, 0, args, expects_reply, trace_id, parent_span, version
-            )
-        except Exception:
-            pass  # declined: the walk encodes it or raises its own error
+    try:
+        return _pack_upcall(0, 0, args, expects_reply, trace_id, parent_span)
+    except Exception:
+        pass  # declined: the walk encodes it or raises its own error
     return encode_message_interpreted(
         UpcallMessage(
             serial=0,
@@ -586,8 +490,7 @@ def encode_upcall_template(
             expects_reply=expects_reply,
             trace_id=trace_id,
             parent_span=parent_span,
-        ),
-        version=version,
+        )
     )
 
 
@@ -595,7 +498,7 @@ def patch_upcall_frame(template: bytes, serial: int, ruc_id: int) -> bytearray:
     """A copy of ``template`` with the per-send header fields patched in.
 
     Byte-identical to encoding ``UpcallMessage(serial=serial,
-    ruc_id=ruc_id, ...)`` from scratch at the template's version.
+    ruc_id=ruc_id, ...)`` from scratch.
     """
     frame = bytearray(template)
     _UINT.pack_into(frame, UPCALL_SERIAL_OFFSET, serial)
@@ -603,8 +506,8 @@ def patch_upcall_frame(template: bytes, serial: int, ruc_id: int) -> bytearray:
     return frame
 
 
-def decode_message(data: bytes, *, version: int = PROTOCOL_VERSION) -> Message:
-    """Unbundle one frame payload encoded at ``version`` into a message.
+def decode_message(data: bytes) -> Message:
+    """Unbundle one frame payload into a message.
 
     Raises :class:`ProtocolError` for unknown type codes and
     propagates :class:`XdrError` for malformed bodies.  Delivery-path
@@ -613,26 +516,24 @@ def decode_message(data: bytes, *, version: int = PROTOCOL_VERSION) -> Message:
     """
     # Compiled decoders slice their payloads out of the frame, which
     # yields ``bytes`` only from ``bytes``; other buffers take the walk.
-    if version in _COMPILED_VERSIONS and data.__class__ is bytes and len(data) >= 4:
+    if data.__class__ is bytes and len(data) >= 4:
         decoder = _COMPILED_DECODERS.get(_UINT.unpack_from(data)[0])
         if decoder is not None:
             try:
-                return decoder(data, version)
+                return decoder(data)
             except Exception:
                 pass  # declined: the walk re-reads the frame and raises
-    return decode_message_interpreted(data, version=version)
+    return decode_message_interpreted(data)
 
 
-def decode_message_interpreted(
-    data: bytes, *, version: int = PROTOCOL_VERSION
-) -> Message:
+def decode_message_interpreted(data: bytes) -> Message:
     """The per-field :class:`XdrStream` walk: reference and fallback codec."""
     stream = XdrStream.decoder(data)
     code = stream.xuint()
     cls = _MESSAGE_TYPES.get(code)
     if cls is None:
         raise ProtocolError(f"unknown message type code {code}")
-    message = cls.unbundle(stream, version)
+    message = cls.unbundle(stream)
     try:
         stream.expect_exhausted()
     except XdrError as exc:
@@ -661,8 +562,7 @@ def decode_message_interpreted(
 #   1, trailing bytes, bad UTF-8 or a length over the XDR maximum.  The
 #   entry point replays it through the walk, so every error keeps the
 #   walk's exception type and message;
-# - other message types, and versions outside _COMPILED_VERSIONS,
-#   only ever take the walk.
+# - other message types only ever take the walk.
 #
 # tests/test_wire/test_properties.py holds the two paths equal.
 
@@ -671,8 +571,6 @@ class _Decline(Exception):
     """A compiled codec declines; the entry point replays the walk."""
 
 
-_COMPILED_VERSIONS = frozenset(range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1))
-
 #: Zero padding after an opaque of n bytes is ``_PAD[n & 3]``.
 _PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
@@ -680,9 +578,8 @@ _PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 _SERIAL_OPAQUE = struct.Struct(">III")
 #: type code, serial, ruc_id, len(args): UPCALL up to the payload.
 _UPCALL_HEAD = struct.Struct(">IIQI")
-#: expects_reply, len(trace_id): UPCALL after the payload (v2+).
+#: expects_reply, len(trace_id): UPCALL after the payload.
 _BOOL_LENGTH = struct.Struct(">iI")
-_BOOL = struct.Struct(">i")
 #: type code, msg_credit, byte_credit, probe: all of CREDIT.
 _CREDIT = struct.Struct(">IQQi")
 
@@ -692,64 +589,50 @@ _CREDIT_CODE = int(_TypeCode.CREDIT)
 _new = object.__new__
 
 
-def _pack_upcall(
-    serial, ruc_id, args, expects_reply, trace_id, parent_span, version
-) -> bytes:
+def _pack_upcall(serial, ruc_id, args, expects_reply, trace_id, parent_span) -> bytes:
     if (
         serial.__class__ is not int
         or ruc_id.__class__ is not int
         or args.__class__ is not bytes
         or expects_reply.__class__ is not bool
+        or trace_id.__class__ is not str
+        or parent_span.__class__ is not int
     ):
         raise _Decline
     n = len(args)
-    if n > DEFAULT_MAX_LENGTH:
-        raise _Decline
-    head = _UPCALL_HEAD.pack(_UPCALL_CODE, serial, ruc_id, n)
-    if version < TRACE_CONTEXT_VERSION:
-        return b"".join((head, args, _PAD[n & 3], _BOOL.pack(expects_reply)))
-    if trace_id.__class__ is not str or parent_span.__class__ is not int:
-        raise _Decline
     trace = trace_id.encode("utf-8")
     m = len(trace)
-    if m > DEFAULT_MAX_LENGTH:
+    if n > DEFAULT_MAX_LENGTH or m > DEFAULT_MAX_LENGTH:
         raise _Decline
     return b"".join((
-        head, args, _PAD[n & 3],
+        _UPCALL_HEAD.pack(_UPCALL_CODE, serial, ruc_id, n), args, _PAD[n & 3],
         _BOOL_LENGTH.pack(expects_reply, m), trace, _PAD[m & 3],
         _UHYPER.pack(parent_span),
     ))
 
 
-def _encode_upcall(message: UpcallMessage, version: int) -> bytes:
+def _encode_upcall(message: UpcallMessage) -> bytes:
     return _pack_upcall(
         message.serial, message.ruc_id, message.args, message.expects_reply,
-        message.trace_id, message.parent_span, version,
+        message.trace_id, message.parent_span,
     )
 
 
-def _decode_upcall(data: bytes, version: int) -> UpcallMessage:
+def _decode_upcall(data: bytes) -> UpcallMessage:
     _code, serial, ruc_id, n = _UPCALL_HEAD.unpack_from(data)
     end = 20 + n
     pos = end + (-n & 3)
     if n > DEFAULT_MAX_LENGTH or data[end:pos] != _PAD[n & 3]:
         raise _Decline
-    if version < TRACE_CONTEXT_VERSION:
-        (expects,) = _BOOL.unpack_from(data, pos)
-        trace_id = ""
-        parent_span = 0
-        last = pos + 4
-    else:
-        expects, m = _BOOL_LENGTH.unpack_from(data, pos)
-        start = pos + 8
-        stop = start + m
-        tail = stop + (-m & 3)
-        (parent_span,) = _UHYPER.unpack_from(data, tail)
-        if m > DEFAULT_MAX_LENGTH or data[stop:tail] != _PAD[m & 3]:
-            raise _Decline
-        trace_id = str(data[start:stop], "utf-8") if m else ""
-        last = tail + 8
-    if last != len(data) or expects not in (0, 1):
+    expects, m = _BOOL_LENGTH.unpack_from(data, pos)
+    start = pos + 8
+    stop = start + m
+    tail = stop + (-m & 3)
+    (parent_span,) = _UHYPER.unpack_from(data, tail)
+    if m > DEFAULT_MAX_LENGTH or data[stop:tail] != _PAD[m & 3]:
+        raise _Decline
+    trace_id = str(data[start:stop], "utf-8") if m else ""
+    if tail + 8 != len(data) or expects not in (0, 1):
         raise _Decline
     message = _new(UpcallMessage)
     fields = message.__dict__
@@ -768,7 +651,7 @@ def _reply_codec(cls: Type[Message]):
     pack = _SERIAL_OPAQUE.pack
     unpack_from = _SERIAL_OPAQUE.unpack_from
 
-    def encode(message, version: int) -> bytes:
+    def encode(message) -> bytes:
         serial = message.serial
         results = message.results
         if serial.__class__ is not int or results.__class__ is not bytes:
@@ -778,7 +661,7 @@ def _reply_codec(cls: Type[Message]):
             raise _Decline
         return b"".join((pack(code, serial, n), results, _PAD[n & 3]))
 
-    def decode(data: bytes, version: int):
+    def decode(data: bytes):
         _code, serial, n = unpack_from(data)
         end = 12 + n
         if (
@@ -796,7 +679,7 @@ def _reply_codec(cls: Type[Message]):
     return encode, decode
 
 
-def _encode_credit(message: CreditMessage, version: int) -> bytes:
+def _encode_credit(message: CreditMessage) -> bytes:
     msg_credit = message.msg_credit
     byte_credit = message.byte_credit
     probe = message.probe
@@ -809,7 +692,7 @@ def _encode_credit(message: CreditMessage, version: int) -> bytes:
     return _CREDIT.pack(_CREDIT_CODE, msg_credit, byte_credit, probe)
 
 
-def _decode_credit(data: bytes, version: int) -> CreditMessage:
+def _decode_credit(data: bytes) -> CreditMessage:
     _code, msg_credit, byte_credit, probe = _CREDIT.unpack_from(data)
     if len(data) != _CREDIT.size or probe not in (0, 1):
         raise _Decline
@@ -824,16 +707,16 @@ def _decode_credit(data: bytes, version: int) -> CreditMessage:
 _encode_reply, _decode_reply = _reply_codec(ReplyMessage)
 _encode_upcall_reply, _decode_upcall_reply = _reply_codec(UpcallReplyMessage)
 
-#: Compiled encoders by exact message class: ``encoder(message, version)``.
-_COMPILED_ENCODERS: dict[type, Callable[[Message, int], bytes]] = {
+#: Compiled encoders by exact message class: ``encoder(message)``.
+_COMPILED_ENCODERS: dict[type, Callable[[Message], bytes]] = {
     UpcallMessage: _encode_upcall,
     ReplyMessage: _encode_reply,
     UpcallReplyMessage: _encode_upcall_reply,
     CreditMessage: _encode_credit,
 }
 
-#: Compiled decoders by type code: ``decoder(frame, version)``.
-_COMPILED_DECODERS: dict[int, Callable[[bytes, int], Message]] = {
+#: Compiled decoders by type code: ``decoder(frame)``.
+_COMPILED_DECODERS: dict[int, Callable[[bytes], Message]] = {
     _UPCALL_CODE: _decode_upcall,
     int(_TypeCode.REPLY): _decode_reply,
     int(_TypeCode.UPCALL_REPLY): _decode_upcall_reply,

@@ -1,4 +1,4 @@
-"""Seeded chaos against the credit window (protocol v4).
+"""Seeded chaos against the credit window.
 
 CREDIT frames ride the same streams as everything else, so a faulty
 link drops, duplicates, and reorders them like any other frame.  The

@@ -14,14 +14,12 @@ import logging
 
 import pytest
 
-import repro.server.clam as server_module
 from repro import ClamClient, ClamServer, RemoteInterface
 from repro.errors import CallTimeoutError, TransportError
 from repro.faults import FaultInjector, FaultKind
 from repro.ipc import serve
 from repro.rpc import RetryPolicy, deadline_scope, remaining_deadline
 from repro.stubs import idempotent
-from repro.wire import DEADLINE_VERSION, PROTOCOL_VERSION
 from tests.support import async_test, eventually
 
 _ids = itertools.count(1)
@@ -189,17 +187,16 @@ class TestLateReplies:
     async def test_late_replies_counted_and_logged_once(self, caplog):
         """Satellite: the late-reply path is audited, not silent.
 
-        A v2 peer has no wire deadlines, so a timed-out nap finishes
-        remotely and its reply arrives after the waiter gave up: a late
-        reply.  Every one is counted; only the first is logged.
+        A caller that abandons its wait sends no deadline, so the nap
+        finishes remotely and its reply arrives after the waiter gave
+        up: a late reply.  Every one is counted; only the first is
+        logged.
         """
-        server, client, worker, _ = await start(
-            call_timeout=0.03, protocol_version=DEADLINE_VERSION - 1
-        )
+        server, client, worker, _ = await start()
         with caplog.at_level(logging.WARNING, logger="repro.rpc.connection"):
             for _ in range(2):
-                with pytest.raises(CallTimeoutError):
-                    await worker.nap(60)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(worker.nap(60), 0.03)
             await eventually(lambda: client.rpc.late_replies == 2)
         assert client.metrics.counter("rpc.client.late_replies").value == 2
         late_logs = [r for r in caplog.records if "late reply" in r.message]
@@ -246,21 +243,6 @@ class TestDeadlines:
         await check()
         assert remaining_deadline() is None
 
-    @async_test
-    async def test_deadline_not_sent_to_v2_peer(self):
-        """A v2 wire has no deadline field; the server keeps working."""
-        server, client, worker, _ = await start(
-            protocol_version=DEADLINE_VERSION - 1
-        )
-        with pytest.raises(CallTimeoutError):
-            with deadline_scope(0.05):
-                await worker.nap(80)
-        await asyncio.sleep(0.15)
-        assert await worker.total() == 1  # finished into the void
-        session = only_session(server)
-        assert session.dispatcher.deadline_expired == 0
-        await stop(server, client)
-
 
 class TestConnectTimeout:
     @async_test
@@ -283,26 +265,4 @@ class TestConnectTimeout:
     async def test_fast_connect_unaffected(self):
         server, client, worker, _ = await start(connect_timeout=5.0)
         assert await worker.bump() == 1
-        await stop(server, client)
-
-
-class TestVersionNegotiation:
-    @async_test
-    async def test_v3_client_against_v2_server(self, monkeypatch):
-        """A current client negotiates down to a deadline-less server.
-
-        The server is pinned to answer protocol 2 (as a pre-deadline
-        build would); the client, offering 3, must speak 2 on the wire
-        and keep deadlines local.
-        """
-        v2 = DEADLINE_VERSION - 1
-        monkeypatch.setattr(
-            server_module, "negotiate_version", lambda offered: min(offered, v2)
-        )
-        server, client, worker, _ = await start(call_timeout=1.0)
-        assert client.protocol_version == v2
-        assert PROTOCOL_VERSION > v2
-        assert await worker.bump() == 1
-        with deadline_scope(5.0):  # local budget only; nothing on the wire
-            assert await worker.bump() == 2
         await stop(server, client)

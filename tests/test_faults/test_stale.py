@@ -5,8 +5,8 @@ copy of its handle is a dangling capability.  These tests pin how that
 surfaces at the client: synchronous calls raise
 :class:`~repro.errors.RemoteStaleError` (a
 :class:`~repro.errors.StaleHandleError`), *batched posts* — which have
-no reply to carry the error — are reported out-of-band on protocol v3
-and mark the handle locally, and once marked, later uses fail fast
+no reply to carry the error — are reported out-of-band and mark the
+handle locally, and once marked, later uses fail fast
 without touching the wire.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro import ClamClient, ClamServer, RemoteInterface
 from repro.errors import RemoteError, RemoteStaleError, StaleHandleError
-from repro.wire import DEADLINE_VERSION
 from tests.support import async_test, eventually
 
 _ids = itertools.count(1)
@@ -116,7 +115,7 @@ class TestSyncCalls:
 class TestBatchedPosts:
     @async_test
     async def test_stale_post_marks_handle_out_of_band(self):
-        """A post has no reply; v3 reports its stale fault unasked."""
+        """A post has no reply; the server reports its stale fault unasked."""
         server, client, counter = await start()
         await counter.add(1)
         await client.release(counter)
@@ -129,25 +128,6 @@ class TestBatchedPosts:
         # Later posts are refused locally, before batching.
         with pytest.raises(StaleHandleError):
             await counter.add(6)
-        await client.close()
-        await server.shutdown()
-
-    @async_test
-    async def test_v2_client_posts_fail_silently(self):
-        """Interop: a pre-v3 peer gets no out-of-band fault reports.
-
-        The post is dropped server-side (counted as an async error, the
-        seed behaviour) and the client's handle is never marked.
-        """
-        server, client, counter = await start(
-            protocol_version=DEADLINE_VERSION - 1
-        )
-        await client.release(counter)
-        await counter.add(5)
-        await client.flush()
-        await client.sync()  # fence: the post has been processed
-        assert not client.rpc.is_stale(counter._clam_handle_)
-        assert len(server.async_errors) == 1
         await client.close()
         await server.shutdown()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the credit gate/ledger pair (protocol v4 semantics).
+"""Unit tests for the credit gate/ledger pair (CREDIT frame semantics).
 
 The properties pinned here are the ones the chaos suite relies on:
 grants max-merge (duplicates and reordering are no-ops), a stalled
@@ -229,7 +229,7 @@ class TestBatchAcquire:
 
     @async_test
     async def test_unlimited_gate_takes_everything(self):
-        gate = CreditGate(unlimited=True)  # pre-v4 peer: never engages
+        gate = CreditGate(unlimited=True)  # a consumer that never grants
         assert await gate.acquire_batch([10] * 50) == 50
 
     @async_test

@@ -4,15 +4,17 @@ The observability counterpart of Figure 4-1: client B's synchronous
 call enters the server, the handler performs a distributed upcall to
 client A's registered procedure, and every span — in three different
 runtimes — carries one ``trace_id`` with correct parent/child edges,
-stitched over the wire by protocol v2's ``trace_id``/``parent_span``
-fields.
+stitched over the wire by the ``trace_id``/``parent_span`` fields of
+CALL and UPCALL frames.
 """
 
 import itertools
 import json
 
 from repro.bench.scenarios import POKER_SOURCE, PokerIface
+from repro.bundlers import default_registry
 from repro.client import ClamClient
+from repro.ipc import MessageChannel, dial
 from repro.obs.export import ChromeTraceExporter, render_trace_tree
 from repro.server import ClamServer
 from repro.trace import (
@@ -22,7 +24,10 @@ from repro.trace import (
     KIND_UPCALL_EXEC,
     TimelineRecorder,
 )
-from repro.wire import PROTOCOL_VERSION, TRACE_CONTEXT_VERSION
+from repro.rpc import RpcConnection
+from repro.server.builtin import BUILTIN_HANDLE, ClamServerInterface
+from repro.stubs import build_proxy
+from repro.wire import PROTOCOL_VERSION, ChannelRole, HelloMessage
 from tests.support import async_test
 
 _ids = itertools.count(1)
@@ -152,52 +157,35 @@ class TestDistributedTrace:
         await teardown(server, client_a, client_b)
 
 
+async def hello_rpc(address, version):
+    """Open an RPC channel whose HELLO announces ``version``."""
+    channel = MessageChannel(await dial(address))
+    await channel.send(HelloMessage(role=ChannelRole.RPC, protocol_version=version))
+    return channel, await channel.recv()
+
+
 class TestVersionNegotiation:
     @async_test
-    async def test_v1_client_interoperates_without_context(self):
-        """A pre-trace-context peer negotiates down to v1: calls and
-        upcalls work, but the trace breaks at the wire (by design)."""
-        server, client_a, client_b, poker_b = await poker_fixture(
-            protocol_version=1,
-        )
-        assert client_b.protocol_version == 1
-        assert TRACE_CONTEXT_VERSION > 1
-        rec_b, rec_s = TimelineRecorder(), TimelineRecorder()
-        client_b.tracer.subscribe(rec_b)
-        server.tracer.subscribe(rec_s)
-
-        assert await poker_b.poke(2) == 10  # the RPC itself still works
-
-        [call_b] = spans_of(rec_b, KIND_CLIENT_CALL)
-        [handler] = [e for e in spans_of(rec_s, KIND_CALL) if "poke" in e.name]
-        # the v1 wire dropped the context: the server started a fresh trace
-        assert handler.trace_id != call_b.trace_id
-        assert handler.parent_id == 0
-        await teardown(server, client_a, client_b)
-
-    @async_test
     async def test_current_client_reports_current_version(self):
-        server, client_a, client_b, _poker_b = await poker_fixture()
-        assert client_b.protocol_version == PROTOCOL_VERSION
-        await teardown(server, client_a, client_b)
-
-    @async_test
-    async def test_v2_client_negotiates_v2(self):
-        server, client_a, client_b, poker_b = await poker_fixture(
-            protocol_version=TRACE_CONTEXT_VERSION,
-        )
-        assert client_b.protocol_version == TRACE_CONTEXT_VERSION
-        assert await poker_b.poke(1) == 0
-        await teardown(server, client_a, client_b)
+        server = ClamServer()
+        address = await server.start(f"unix:///tmp/dtrace-{next(_ids)}.sock")
+        channel, ack = await hello_rpc(address, PROTOCOL_VERSION)
+        assert ack.protocol_version == PROTOCOL_VERSION
+        await channel.close()
+        await server.shutdown()
 
     @async_test
     async def test_future_client_version_negotiates_down(self):
-        server, client_a, client_b, poker_b = await poker_fixture(
-            protocol_version=99,
-        )
-        assert client_b.protocol_version == PROTOCOL_VERSION
-        assert await poker_b.poke(1) == 0
-        await teardown(server, client_a, client_b)
+        """A newer peer is answered with 5, and the wire then works."""
+        server = ClamServer()
+        address = await server.start(f"unix:///tmp/dtrace-{next(_ids)}.sock")
+        channel, ack = await hello_rpc(address, 99)
+        assert ack.protocol_version == PROTOCOL_VERSION == 5
+        rpc = RpcConnection(channel, default_registry())
+        builtin = build_proxy(ClamServerInterface, rpc, BUILTIN_HANDLE)
+        assert await builtin.ping() >= 0
+        await rpc.close()
+        await server.shutdown()
 
 
 class TestMetricsAcrossTheWire:

@@ -20,7 +20,8 @@ from repro import (
     RemoteError,
     RemoteInterface,
 )
-from repro.ipc import MessageChannel, dial
+from repro.errors import ProtocolError
+from repro.ipc import MessageChannel, dial, serve
 from repro.wire import ChannelRole, HelloMessage
 from tests.support import async_test, eventually
 
@@ -162,20 +163,47 @@ class TestHostileBytes:
                 await channel.recv()
         await server.shutdown()
 
+    @pytest.mark.parametrize("version", [0, 4])
     @async_test
-    async def test_protocol_version_below_minimum_rejected(self):
+    async def test_protocol_version_below_minimum_rejected(self, version):
         """Peers older than MIN_PROTOCOL_VERSION cannot negotiate;
         newer peers are fine (the wire downgrades to our version)."""
         server, address = await start()
         channel = MessageChannel(await dial(address))
         await channel.send(
-            HelloMessage(role=ChannelRole.RPC, protocol_version=0)
+            HelloMessage(role=ChannelRole.RPC, protocol_version=version)
         )
         with pytest.raises(ConnectionClosedError):
             for _ in range(3):
                 await channel.recv()
         assert server.session_count == 0
         await server.shutdown()
+
+    @async_test
+    async def test_client_rejects_hello_ack_below_minimum(self):
+        """The client checks the server's ack as the server checks the
+        client's HELLO: a v4 answer fails the connect and closes the
+        channel."""
+        closed = asyncio.Event()
+
+        async def old_server(conn):
+            channel = MessageChannel(conn)
+            await channel.recv()
+            await channel.send(HelloMessage(
+                role=ChannelRole.RPC, session="old-session", protocol_version=4
+            ))
+            try:
+                await channel.recv()
+            except ConnectionClosedError:
+                closed.set()
+
+        listener = await serve(f"memory://old-server-{next(_ids)}", old_server)
+        try:
+            with pytest.raises(ProtocolError, match="protocol 4"):
+                await ClamClient.connect(listener.address)
+            await asyncio.wait_for(closed.wait(), 5)
+        finally:
+            await listener.close()
 
     @async_test
     async def test_upcall_channel_for_unknown_session_rejected(self):

@@ -65,9 +65,9 @@ class TestCallTimeouts:
     async def test_connection_survives_timeout_and_deadline_aborts_work(self):
         """The channel stays coherent; the server aborts the expired nap.
 
-        At protocol v3 the call timeout travels as a wire deadline, so
-        the work nobody is waiting for is cancelled server-side instead
-        of finishing into the void.
+        The call timeout travels as a wire deadline, so the work nobody
+        is waiting for is cancelled server-side instead of finishing
+        into the void.
         """
         server, client, slow = await start(call_timeout=0.02)
         with pytest.raises(CallTimeoutError):
@@ -76,22 +76,6 @@ class TestCallTimeouts:
         assert await slow.nap(1) == 1
         # The timed-out call was aborted by its propagated deadline.
         assert await slow.finished_count() == 1
-        await client.close()
-        await server.shutdown()
-
-    @async_test
-    async def test_v2_timeout_leaves_server_work_running(self):
-        """A v2 wire has no deadline field: the old semantics hold.
-
-        The timeout bounds only the caller's wait; the nap still
-        executes remotely and its late reply is discarded.
-        """
-        server, client, slow = await start(call_timeout=0.02, protocol_version=2)
-        with pytest.raises(CallTimeoutError):
-            await slow.nap(60)
-        await asyncio.sleep(0.1)  # let the orphan reply arrive
-        assert await slow.nap(1) == 1
-        assert await slow.finished_count() == 2
         await client.close()
         await server.shutdown()
 

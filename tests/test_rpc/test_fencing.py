@@ -3,7 +3,7 @@
 The unit half of the fencing story — :class:`FencingToken` ordering,
 the ``fence_scope`` contextvar plumbing, and :class:`FenceGuard`
 high-water-mark admission.  The wire half (tokens stamped on CALL
-messages at protocol v5) is pinned in ``test_wire/test_golden_bytes``;
+messages) is pinned in ``test_wire/test_golden_bytes``;
 the end-to-end half (a lapsed lease holder rejected mid-chaos) lives
 in ``test_cluster/test_chaos_directory``.
 """

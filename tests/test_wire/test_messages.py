@@ -6,7 +6,6 @@ from repro.errors import ProtocolError
 from repro.wire import (
     MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
-    TRACE_CONTEXT_VERSION,
     BatchMessage,
     CallMessage,
     ChannelRole,
@@ -137,18 +136,21 @@ class TestDistinctness:
 
 
 class TestVersioning:
-    """Protocol v2 appends trace context; v1 peers never see it."""
+    """One wire version; HELLO carries it and the gate checks it."""
+
+    def test_one_wire_version(self):
+        assert MIN_PROTOCOL_VERSION == PROTOCOL_VERSION == 5
 
     def test_negotiate_takes_the_min(self):
         assert negotiate_version(PROTOCOL_VERSION) == PROTOCOL_VERSION
-        assert negotiate_version(1) == 1
         assert negotiate_version(99) == PROTOCOL_VERSION
 
     def test_negotiate_rejects_prehistoric_peers(self):
-        with pytest.raises(ProtocolError):
-            negotiate_version(MIN_PROTOCOL_VERSION - 1)
+        for version in (0, 1, MIN_PROTOCOL_VERSION - 1):
+            with pytest.raises(ProtocolError):
+                negotiate_version(version)
 
-    def test_call_trace_context_roundtrips_at_v2(self):
+    def test_call_trace_context_roundtrips(self):
         msg = CallMessage(serial=1, oid=2, tag=3, method="poke", args=b"x",
                           expects_reply=True, trace_id="ab" * 8,
                           parent_span=0x1234_5678_9ABC)
@@ -156,56 +158,12 @@ class TestVersioning:
         assert out.trace_id == msg.trace_id
         assert out.parent_span == msg.parent_span
 
-    def test_v1_encoding_omits_trace_context(self):
-        with_ctx = CallMessage(serial=1, oid=2, tag=3, method="poke",
-                               args=b"x", expects_reply=True,
-                               trace_id="ab" * 8, parent_span=7)
-        without = CallMessage(serial=1, oid=2, tag=3, method="poke",
-                              args=b"x", expects_reply=True)
-        v1_bytes = encode_message(with_ctx, version=1)
-        # identical to what a context-free peer would produce...
-        assert v1_bytes == encode_message(without, version=1)
-        # ...and a v1 decoder reads it back with empty context
-        out = decode_message(v1_bytes, version=1)
-        assert out.trace_id == ""
-        assert out.parent_span == 0
-
-    def test_versions_are_not_wire_compatible_midstream(self):
-        """A v2 frame fed to a v1 decoder has trailing bytes — the
-        negotiation exists precisely so this never happens."""
-        from repro.errors import XdrError
-
-        msg = CallMessage(serial=1, oid=2, tag=3, method="poke", args=b"x",
-                          expects_reply=True, trace_id="ab" * 8, parent_span=7)
-        with pytest.raises((ProtocolError, XdrError)):
-            decode_message(encode_message(msg, version=2), version=1)
-
-    def test_batch_members_follow_the_batch_version(self):
-        calls = [
-            CallMessage(serial=i, oid=1, tag=1, method="m", args=b"",
-                        expects_reply=False, trace_id="cd" * 8, parent_span=i)
-            for i in range(1, 4)
-        ]
-        batch = BatchMessage(calls=calls)
-        v2 = decode_message(encode_message(batch, version=2), version=2)
-        assert [c.parent_span for c in v2.calls] == [1, 2, 3]
-        v1 = decode_message(encode_message(batch, version=1), version=1)
-        assert all(c.trace_id == "" for c in v1.calls)
-
-    def test_upcall_trace_context_versioned(self):
-        msg = UpcallMessage(serial=5, ruc_id=9, args=b"a",
-                            trace_id="ef" * 8, parent_span=11)
-        v2 = decode_message(encode_message(msg))
-        assert (v2.trace_id, v2.parent_span) == (msg.trace_id, 11)
-        v1 = decode_message(encode_message(msg, version=1), version=1)
-        assert (v1.trace_id, v1.parent_span) == ("", 0)
-
     def test_hello_layout_is_version_independent(self):
-        """The HELLO must be readable before negotiation: encoding it
-        at any version yields identical bytes."""
+        """An older peer's HELLO still decodes, so the gate can read
+        its version and refuse it."""
         msg = HelloMessage(role=ChannelRole.RPC, session="tok",
                            protocol_version=2)
-        assert encode_message(msg, version=1) == encode_message(msg, version=2)
-
-    def test_trace_context_version_constant(self):
-        assert MIN_PROTOCOL_VERSION < TRACE_CONTEXT_VERSION <= PROTOCOL_VERSION
+        out = decode_message(encode_message(msg))
+        assert out == msg
+        with pytest.raises(ProtocolError):
+            negotiate_version(out.protocol_version)

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.wire import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
     BatchMessage,
     CallMessage,
     ChannelRole,
@@ -129,7 +127,6 @@ def test_truncation_never_decodes_silently(message, cut):
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
 
-versions = st.integers(min_value=MIN_PROTOCOL_VERSION, max_value=PROTOCOL_VERSION)
 edge_u32 = st.one_of(st.sampled_from([0, 1, U32_MAX]), serials)
 edge_u64 = st.one_of(st.sampled_from([0, 1, U64_MAX]), oids)
 # Empty and every padding remainder, plus arbitrary bytes.
@@ -178,46 +175,42 @@ def _outcome(fn, *args, **kwargs):
     return "encoded", result
 
 
-def _compiled_encode(message: Message, version: int) -> bytes:
-    return wire_messages._COMPILED_ENCODERS[type(message)](message, version)
+def _compiled_encode(message: Message) -> bytes:
+    return wire_messages._COMPILED_ENCODERS[type(message)](message)
 
 
-def _compiled_decode(frame: bytes, version: int) -> Message:
+def _compiled_decode(frame: bytes) -> Message:
     code = int.from_bytes(frame[:4], "big")
-    return wire_messages._COMPILED_DECODERS[code](frame, version)
+    return wire_messages._COMPILED_DECODERS[code](frame)
 
 
-@given(compiled_messages, versions)
-def test_compiled_codecs_match_the_walk(message, version):
+@given(compiled_messages)
+def test_compiled_codecs_match_the_walk(message):
     """The compiled codec accepts every valid message and frame, and both
     entry points give the walk's bytes and the walk's message."""
-    frame = encode_message_interpreted(message, version=version)
-    assert _compiled_encode(message, version) == frame
-    assert encode_message(message, version=version) == frame
-    expected = decode_message_interpreted(frame, version=version)
-    for decoded in (
-        _compiled_decode(frame, version),
-        decode_message(frame, version=version),
-    ):
+    frame = encode_message_interpreted(message)
+    assert _compiled_encode(message) == frame
+    assert encode_message(message) == frame
+    expected = decode_message_interpreted(frame)
+    for decoded in (_compiled_decode(frame), decode_message(frame)):
         assert decoded == expected
         assert _field_types(decoded) == _field_types(expected)
 
 
-@given(edge_payloads, st.booleans(), trace_ids, edge_u64, versions)
+@given(edge_payloads, st.booleans(), trace_ids, edge_u64)
 def test_compiled_upcall_template_matches_the_walk(
-    args, expects_reply, trace_id, parent_span, version
+    args, expects_reply, trace_id, parent_span
 ):
     walked = encode_message_interpreted(
         UpcallMessage(serial=0, ruc_id=0, args=args, expects_reply=expects_reply,
-                      trace_id=trace_id, parent_span=parent_span),
-        version=version,
+                      trace_id=trace_id, parent_span=parent_span)
     )
     assert wire_messages._pack_upcall(
-        0, 0, args, expects_reply, trace_id, parent_span, version
+        0, 0, args, expects_reply, trace_id, parent_span
     ) == walked
     assert encode_upcall_template(
         args, expects_reply=expects_reply, trace_id=trace_id,
-        parent_span=parent_span, version=version,
+        parent_span=parent_span,
     ) == walked
 
 
@@ -234,10 +227,6 @@ def _put_bytes(frame: bytes, offset: int, data: bytes) -> bytes:
 _UPCALL = encode_message_interpreted(
     UpcallMessage(serial=7, ruc_id=9, args=b"abc", trace_id="é", parent_span=3)
 )
-# [16:20) len(args)=3, [20:23) args, [23] pad, [24:28) expects_reply
-_UPCALL_V1 = encode_message_interpreted(
-    UpcallMessage(serial=7, ruc_id=9, args=b"abc"), version=1
-)
 # [8:12) len(results)=3, [12:15) results, [15] pad
 _REPLY = encode_message_interpreted(ReplyMessage(serial=7, results=b"abc"))
 _UPCALL_REPLY = encode_message_interpreted(UpcallReplyMessage(serial=7, results=b"abc"))
@@ -248,50 +237,47 @@ _CREDIT = encode_message_interpreted(
 _OVERSIZE = DEFAULT_MAX_LENGTH + 1
 
 MALFORMED = [
-    ("empty", b"", PROTOCOL_VERSION),
-    ("type code only", _REPLY[:4], PROTOCOL_VERSION),
-    ("upcall truncated in head", _UPCALL[:19], PROTOCOL_VERSION),
-    ("upcall truncated", _UPCALL[:-1], PROTOCOL_VERSION),
-    ("upcall v1 truncated", _UPCALL_V1[:-4], 1),
-    ("reply truncated", _REPLY[:-1], PROTOCOL_VERSION),
-    ("credit truncated", _CREDIT[:-4], PROTOCOL_VERSION),
-    ("upcall args padding", _put_bytes(_UPCALL, 23, b"\x01"), PROTOCOL_VERSION),
-    ("upcall trace padding", _put_bytes(_UPCALL, 35, b"\x01"), PROTOCOL_VERSION),
-    ("upcall v1 args padding", _put_bytes(_UPCALL_V1, 23, b"\x80"), 1),
-    ("reply padding", _put_bytes(_REPLY, 15, b"\x01"), PROTOCOL_VERSION),
-    ("upcall reply padding", _put_bytes(_UPCALL_REPLY, 15, b"\xff"), 2),
-    ("upcall bool 2", _put_word(_UPCALL, 24, 2), PROTOCOL_VERSION),
-    ("upcall v1 bool -1", _put_word(_UPCALL_V1, 24, U32_MAX), 1),
-    ("credit bool 2", _put_word(_CREDIT, 20, 2), 4),
-    ("upcall trailing bytes", _UPCALL + b"\x00" * 4, PROTOCOL_VERSION),
-    ("upcall v1 trailing bytes", _UPCALL_V1 + b"\x00" * 4, 1),
-    ("reply trailing bytes", _REPLY + b"\x00" * 4, PROTOCOL_VERSION),
-    ("upcall reply trailing byte", _UPCALL_REPLY + b"\x00", 3),
-    ("credit trailing bytes", _CREDIT + b"\x00" * 4, PROTOCOL_VERSION),
-    ("upcall bad utf-8", _put_bytes(_UPCALL, 32, b"\xc3\x28"), PROTOCOL_VERSION),
-    ("upcall args oversize", _put_word(_UPCALL, 16, _OVERSIZE), PROTOCOL_VERSION),
-    ("upcall trace oversize", _put_word(_UPCALL, 28, _OVERSIZE), PROTOCOL_VERSION),
-    ("reply results oversize", _put_word(_REPLY, 8, _OVERSIZE), PROTOCOL_VERSION),
-    ("upcall args past end", _put_word(_UPCALL, 16, 1000), PROTOCOL_VERSION),
-    ("upcall trace past end", _put_word(_UPCALL, 28, 1000), PROTOCOL_VERSION),
-    ("reply results past end", _put_word(_REPLY, 8, 1000), PROTOCOL_VERSION),
+    ("empty", b""),
+    ("type code only", _REPLY[:4]),
+    ("upcall truncated in head", _UPCALL[:19]),
+    ("upcall truncated", _UPCALL[:-1]),
+    ("reply truncated", _REPLY[:-1]),
+    ("credit truncated", _CREDIT[:-4]),
+    ("upcall args padding", _put_bytes(_UPCALL, 23, b"\x01")),
+    ("upcall trace padding", _put_bytes(_UPCALL, 35, b"\x01")),
+    ("reply padding", _put_bytes(_REPLY, 15, b"\x01")),
+    ("upcall reply padding", _put_bytes(_UPCALL_REPLY, 15, b"\xff")),
+    ("upcall bool 2", _put_word(_UPCALL, 24, 2)),
+    ("upcall bool -1", _put_word(_UPCALL, 24, U32_MAX)),
+    ("credit bool 2", _put_word(_CREDIT, 20, 2)),
+    ("upcall trailing bytes", _UPCALL + b"\x00" * 4),
+    ("reply trailing bytes", _REPLY + b"\x00" * 4),
+    ("upcall reply trailing byte", _UPCALL_REPLY + b"\x00"),
+    ("credit trailing bytes", _CREDIT + b"\x00" * 4),
+    ("upcall bad utf-8", _put_bytes(_UPCALL, 32, b"\xc3\x28")),
+    ("upcall args oversize", _put_word(_UPCALL, 16, _OVERSIZE)),
+    ("upcall trace oversize", _put_word(_UPCALL, 28, _OVERSIZE)),
+    ("reply results oversize", _put_word(_REPLY, 8, _OVERSIZE)),
+    ("upcall args past end", _put_word(_UPCALL, 16, 1000)),
+    ("upcall trace past end", _put_word(_UPCALL, 28, 1000)),
+    ("reply results past end", _put_word(_REPLY, 8, 1000)),
 ]
 
 
 @pytest.mark.parametrize(
-    "frame,version", [pytest.param(f, v, id=name) for name, f, v in MALFORMED]
+    "frame", [pytest.param(f, id=name) for name, f in MALFORMED]
 )
-def test_malformed_frames_raise_the_walks_error(frame, version):
-    walked = _outcome(decode_message_interpreted, frame, version=version)
+def test_malformed_frames_raise_the_walks_error(frame):
+    walked = _outcome(decode_message_interpreted, frame)
     assert walked[0] == "raised"
-    assert _outcome(decode_message, frame, version=version) == walked
+    assert _outcome(decode_message, frame) == walked
 
 
-@given(compiled_messages, versions, st.data())
-def test_damaged_frames_decode_the_same_both_ways(message, version, data):
+@given(compiled_messages, st.data())
+def test_damaged_frames_decode_the_same_both_ways(message, data):
     """Truncate, overwrite a byte or a word, or append: whatever the walk
     makes of the result, the compiled entry point makes the same."""
-    frame = bytearray(encode_message_interpreted(message, version=version))
+    frame = bytearray(encode_message_interpreted(message))
     how = data.draw(st.sampled_from(("truncate", "byte", "word", "append")))
     if how == "truncate":
         del frame[data.draw(st.integers(0, len(frame) - 1)):]
@@ -306,8 +292,8 @@ def test_damaged_frames_decode_the_same_both_ways(message, version, data):
     else:
         frame += data.draw(st.binary(min_size=1, max_size=8))
     frame = bytes(frame)
-    assert _outcome(decode_message, frame, version=version) == _outcome(
-        decode_message_interpreted, frame, version=version
+    assert _outcome(decode_message, frame) == _outcome(
+        decode_message_interpreted, frame
     )
 
 
@@ -336,17 +322,15 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("version", [1, PROTOCOL_VERSION])
 @pytest.mark.parametrize(
     "message", [pytest.param(m, id=name) for name, m in BAD_VALUES]
 )
-def test_declined_values_encode_or_raise_as_the_walk_does(message, version):
-    assert _outcome(encode_message, message, version=version) == _outcome(
-        encode_message_interpreted, message, version=version
+def test_declined_values_encode_or_raise_as_the_walk_does(message):
+    assert _outcome(encode_message, message) == _outcome(
+        encode_message_interpreted, message
     )
 
 
-@pytest.mark.parametrize("version", [1, PROTOCOL_VERSION])
 @pytest.mark.parametrize(
     "fields",
     [
@@ -359,12 +343,11 @@ def test_declined_values_encode_or_raise_as_the_walk_does(message, version):
     ids=["args bytearray", "args str", "expects_reply int", "trace_id surrogate",
          "parent_span past u64"],
 )
-def test_declined_template_values_match_the_walk(fields, version):
+def test_declined_template_values_match_the_walk(fields):
     fields = dict(fields)
     args = fields.pop("args")
     walked = _outcome(
         encode_message_interpreted,
         UpcallMessage(serial=0, ruc_id=0, args=args, **fields),
-        version=version,
     )
-    assert _outcome(encode_upcall_template, args, version=version, **fields) == walked
+    assert _outcome(encode_upcall_template, args, **fields) == walked

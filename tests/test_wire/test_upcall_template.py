@@ -5,7 +5,7 @@ template and patches only the per-subscriber fields (serial, ruc_id)
 into a copy per stream (:func:`repro.wire.patch_upcall_frame`).  The
 optimization is only sound if a patched template is **byte-identical**
 to encoding the full message per subscriber — these tests pin that,
-across every protocol version and across the trace-context fields, so
+across the trace-context fields, so
 any future field reorder in ``UpcallMessage.bundle`` that silently
 moves the patch offsets fails loudly here rather than corrupting
 frames on the wire.
@@ -14,8 +14,6 @@ frames on the wire.
 import pytest
 
 from repro.wire import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
     UpcallMessage,
     decode_message,
     encode_message,
@@ -24,18 +22,13 @@ from repro.wire import (
 )
 from repro.wire.messages import UPCALL_RUC_OFFSET, UPCALL_SERIAL_OFFSET
 
-ALL_VERSIONS = range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1)
-
-
-@pytest.mark.parametrize("version", ALL_VERSIONS)
-def test_patched_template_matches_full_encode(version):
+def test_patched_template_matches_full_encode():
     args = b"\x00\x01\x02payload-bytes\xff" * 3
     template = encode_upcall_template(
         args,
         expects_reply=True,
         trace_id="trace-abc",
         parent_span=0x1122334455,
-        version=version,
     )
     for serial, ruc_id in [(1, 1), (7, 42), (0xFFFFFFFF, 2**63 - 1), (0, 0)]:
         patched = bytes(patch_upcall_frame(template, serial, ruc_id))
@@ -47,34 +40,28 @@ def test_patched_template_matches_full_encode(version):
                 expects_reply=True,
                 trace_id="trace-abc",
                 parent_span=0x1122334455,
-            ),
-            version=version,
+            )
         )
         assert patched == golden, (
-            f"v{version} serial={serial} ruc={ruc_id}: patched frame "
+            f"serial={serial} ruc={ruc_id}: patched frame "
             f"differs from per-subscriber encode"
         )
 
 
-@pytest.mark.parametrize("version", ALL_VERSIONS)
 @pytest.mark.parametrize("expects_reply", [True, False])
-def test_patched_template_decodes_correctly(version, expects_reply):
+def test_patched_template_decodes_correctly(expects_reply):
     args = b"round-trip"
     template = encode_upcall_template(
-        args, expects_reply=expects_reply, trace_id="t", parent_span=9,
-        version=version,
+        args, expects_reply=expects_reply, trace_id="t", parent_span=9
     )
-    message = decode_message(
-        bytes(patch_upcall_frame(template, 31337, 0xDEAD)), version=version
-    )
+    message = decode_message(bytes(patch_upcall_frame(template, 31337, 0xDEAD)))
     assert isinstance(message, UpcallMessage)
     assert message.serial == 31337
     assert message.ruc_id == 0xDEAD
     assert message.args == args
     assert message.expects_reply is expects_reply
-    if version >= 2:
-        assert message.trace_id == "t"
-        assert message.parent_span == 9
+    assert message.trace_id == "t"
+    assert message.parent_span == 9
 
 
 def test_write_n_shares_one_template():
