@@ -36,6 +36,7 @@ from typing import Any, Optional, Union
 
 from repro.errors import BundleError
 from repro.bundlers.base import Bundler, BundlerRegistry, default_registry
+from repro.bundlers.compiled import make_compiled_bundler, make_compiled_sequence
 from repro.xdr import XdrStream, xdr_filter_for
 from repro.xdr.filters import Filter
 
@@ -86,7 +87,7 @@ def structural_resolver(annotation: Any, registry: BundlerRegistry) -> Bundler |
         def list_bundler(stream: XdrStream, value, *extra):
             return stream.xarray(lambda st, v: element(st, v, *extra), value)
 
-        return list_bundler
+        return make_compiled_sequence(list, element, list_bundler) or list_bundler
 
     if origin is tuple and args:
         if len(args) == 2 and args[1] is Ellipsis:
@@ -98,7 +99,7 @@ def structural_resolver(annotation: Any, registry: BundlerRegistry) -> Bundler |
                     return value
                 return tuple(stream.xarray(lambda st, v: element(st, v, *extra)))
 
-            return var_tuple_bundler
+            return make_compiled_sequence(tuple, element, var_tuple_bundler) or var_tuple_bundler
 
         element_bundlers = [registry.bundler_for(a) for a in args]
 
@@ -237,11 +238,9 @@ def _dataclass_bundler(cls: type, registry: BundlerRegistry) -> Bundler:
 
     struct_bundler.__name__ = f"auto_struct_{cls.__name__}"
 
-    # Fuse runs of fixed-size primitive fields into one struct.Struct
-    # (see repro.bundlers.compiled).  Falls back to struct_bundler when
-    # fewer than two fields fuse; the compiled wrapper itself replays
-    # struct_bundler for anything its fast path declines.
-    from repro.bundlers.compiled import make_compiled_bundler
-
+    # Generate straight-line code from the field plan (see
+    # repro.bundlers.compiled).  Falls back to struct_bundler when fewer
+    # than two scalars fuse; the generated bundler itself replays
+    # struct_bundler for anything it declines.
     compiled = make_compiled_bundler(cls, field_bundlers, struct_bundler)
     return compiled if compiled is not None else struct_bundler

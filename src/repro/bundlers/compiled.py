@@ -1,69 +1,61 @@
-"""Compiled bundler plans: one C call per record (HAM-style fast path).
+"""Compiled bundler plans: straight-line codecs generated per record.
 
-The automatic struct bundler of :mod:`repro.bundlers.auto` walks a
-record field by field: one Python call chain and one ``struct.pack``
-per field.  For the common case the paper leans on — pointer-free
-records of fixed-size primitives (§3.1's ``Point``) — that interpreted
-walk is pure overhead: the wire layout is known at derivation time.
+The interpreted walk of :mod:`repro.bundlers.auto` costs several Python
+calls per scalar.  The paper's compiler instead "generates a pair of
+stubs" that bundle each parameter (§3.2, §3.4), as HAM fixes each
+message's layout ahead of time.  This module stands in for it: for
+each record plan, and for ``list[T]`` / ``tuple[T, ...]`` of an element
+that inlines, it writes one bundler (an encode body and a decode body)
+and builds it with ``exec``, as :mod:`dataclasses` does.  In it:
 
-This module *compiles* such field plans.  A run of consecutive
-fixed-size primitive filters (int/uint/hyper/uhyper/float/double/
-bool/short/enum, plus nested records that themselves compiled fully)
-is fused into a single precompiled :class:`struct.Struct`, so encoding
-a record is one attribute gather + one ``pack`` and decoding is one
-``unpack_from`` + one constructor call.  Variable-length fields
-(strings, opaques, lists, optionals) break the run: the record plan
-interleaves fused segments with per-field interpreted steps, and a
-record with fewer than two fusable scalars simply keeps the
-interpreted bundler.
+- consecutive fixed-size scalars (int/uint/hyper/uhyper/float/double/
+  bool/short/enum, nested records' too) are one ``struct.Struct`` pack
+  or unpack, and the length of a following string, opaque or
+  sequence joins that run;
+- canonical ``str`` and ``bytes`` fields are inlined as length, bytes
+  and pad; nested compiled records are inlined;
+- a sequence is a count followed by one loop over the element body;
+- any other field calls its bundler from the generated line.
 
-Correctness contract (tested property-style in
-``tests/test_bundlers/test_compiled.py``):
-
-- wire output is byte-identical to the interpreted path for every
-  value the interpreted path accepts;
-- any value or wire input the fast path cannot handle is replayed
-  through the interpreted bundler from a rewind point, so error
-  behaviour (exception type and message) matches exactly;
-- compilation only recognizes the *canonical* filters, by function
-  identity — a registry with a user bundler registered for a field
-  type resolves that field to an unknown callable, which breaks the
-  run and preserves §3.2's precedence rules.
-
-Plans are cached per record class (keyed by the exact resolved field
-bundlers), so repeated derivation across registries is one dict hit.
+Correctness contract (tested in ``tests/test_bundlers``): the bytes
+are those of the interpreted walk.  The generated code takes a scalar
+only when its class is exactly the one the wire form expects
+(``int``, ``float``, ``bool``, the enum); any value or wire input it
+declines is rewound and replayed through the walk, so the exception
+type and message and the stream position match too.  A plan that
+calls field bundlers checks and writes everything inline before the
+first call, so a declined value runs no bundler twice.  Only the
+*canonical* filters are recognized, by function identity: a user
+bundler registered for a field type is called, as §3.2 requires.
+Generated bundlers are cached per (record class, field bundlers) and
+per (container, element bundler).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
+import keyword
 import struct
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.errors import BundleError
 from repro.bundlers.base import Bundler
 from repro.xdr import filters as _filters
-from repro.xdr.stream import XdrOp
-
-_ENCODE = XdrOp.ENCODE
-
-#: Kill switch: set False to always use the interpreted path (bench
-#: comparisons, debugging).  Affects derivations from then on.
-ENABLED = True
+from repro.xdr.stream import _PAD, XdrOp
 
 _INT16_MIN, _INT16_MAX = -(2**15), 2**15 - 1
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
 
 class _Reject(Exception):
-    """Internal: the fast path declines; replay through the interpreted path."""
+    """Internal: the generated code declines; replay the interpreted walk."""
 
 
-# -- leaf recognition ---------------------------------------------------------
+# -- recognition --------------------------------------------------------------
 
 #: Canonical fixed-size filters → (struct format char, leaf kind).
-#: Recognition is by function identity: anything else breaks the run.
 _PRIMITIVE_FORMATS: dict[Callable, tuple[str, str]] = {
     _filters.xint: ("i", "int"),
     _filters.xuint: ("I", "int"),
@@ -75,383 +67,386 @@ _PRIMITIVE_FORMATS: dict[Callable, tuple[str, str]] = {
     _filters.xshort: ("i", "short"),
 }
 
+#: The exact class a scalar must have for the generated code to take
+#: it.  ``struct`` would also pack subclasses and ``__index__`` or
+#: ``__float__`` objects, some of which the walk refuses.
+_EXACT_CLASS = {"int": "int", "short": "int", "float": "float", "bool": "bool"}
 
-@dataclasses.dataclass(frozen=True)
-class _Leaf:
-    """One fused scalar: where it lives and how to check/convert it."""
 
-    path: tuple[str, ...]
+class _Leaf(NamedTuple):
+    """One fused scalar: its struct code and how to check/convert it."""
+
     fmt: str
     kind: str                       # int | float | bool | short | enum
-    enum_cls: type | None = None
-
-    def encode_check(self) -> Callable[[Any], Any] | None:
-        """Converter applied before pack, or None when pack's own
-        validation suffices.
-
-        ``struct`` already rejects non-ints and out-of-range values
-        for integer formats and non-numbers for float formats; the
-        checks here cover only what it would silently accept but the
-        interpreted path rejects (bools in int/float slots, int16
-        range inside an int32 slot, enum typing).  A check that fails
-        raises :class:`_Reject`, triggering the interpreted replay.
-        """
-        kind = self.kind
-        if kind in ("int", "float"):
-            def check(v):
-                if type(v) is bool:
-                    raise _Reject
-                return v
-        elif kind == "bool":
-            def check(v):
-                if type(v) is not bool:
-                    raise _Reject
-                return 1 if v else 0
-        elif kind == "short":
-            def check(v):
-                if type(v) is bool or not isinstance(v, int) \
-                        or not _INT16_MIN <= v <= _INT16_MAX:
-                    raise _Reject
-                return v
-        else:  # enum
-            enum_cls = self.enum_cls
-            def check(v):
-                if not isinstance(v, enum_cls):
-                    raise _Reject
-                return v.value
-        return check
-
-    def decode_convert(self) -> Callable[[Any], Any] | None:
-        """Converter applied after unpack, or None for raw values."""
-        kind = self.kind
-        if kind in ("int", "float"):
-            return None
-        if kind == "bool":
-            def conv(v):
-                if v not in (0, 1):
-                    raise _Reject
-                return bool(v)
-            return conv
-        if kind == "short":
-            def conv(v):
-                if not _INT16_MIN <= v <= _INT16_MAX:
-                    raise _Reject
-                return v
-            return conv
-        members = {m.value: m for m in self.enum_cls}
-        def conv(v):
-            member = members.get(v)
-            if member is None:
-                raise _Reject
-            return member
-        return conv
+    enum_cls: Optional[type] = None
 
 
-def _leaf_for(bundler: Bundler, path: tuple[str, ...]) -> Optional[_Leaf]:
+def _leaf_for(bundler: Bundler) -> Optional[_Leaf]:
     """Recognize one field bundler as a fused scalar, or None."""
-    fn = getattr(bundler, "filter_fn", bundler)
-    spec = _PRIMITIVE_FORMATS.get(fn)
+    spec = _PRIMITIVE_FORMATS.get(getattr(bundler, "filter_fn", bundler))
     if spec is not None:
-        return _Leaf(path=path, fmt=spec[0], kind=spec[1])
+        return _Leaf(*spec)
     enum_cls = getattr(bundler, "enum_cls", None)
     if isinstance(enum_cls, type) and issubclass(enum_cls, enum.Enum):
-        return _Leaf(path=path, fmt="i", kind="enum", enum_cls=enum_cls)
+        return _Leaf("i", "enum", enum_cls)
     return None
 
 
-# -- plan structure -----------------------------------------------------------
+def _node(bundler: Bundler) -> tuple:
+    """What the generator does with one bundler.
 
-#: A segment "shape" describes, per constructor argument the segment
-#: contributes, either the int 1 (one scalar leaf) or a tuple
-#: ``(nested_cls, nested_shapes, leaf_count)`` for a sub-record.
-Shape = Any
-
-
-def _arg_makers(shapes: list[Shape], convs: list, start: int) -> list[Callable[[tuple], Any]]:
-    """Per constructor argument, a callable ``raw_tuple -> value``.
-
-    Indices into the raw tuple are absolute, precomputed at compile
-    time; nested records recurse.  ``convs`` is the slice of decode
-    converters covering exactly these shapes.
+    ``("scalar", leaf)``, ``("bytes", is_str)``, ``("record", plan)`` and
+    ``("seq", container, element_node)`` are inlined; ``("call",
+    bundler)`` is called from the generated line.
     """
-    makers: list[Callable[[tuple], Any]] = []
-    i = start
-    for shape in shapes:
-        if shape == 1:
-            conv = convs[i - start]
-            if conv is None:
-                makers.append(itemgetter(i))
-            else:
-                makers.append(lambda raw, _i=i, _c=conv: _c(raw[_i]))
-            i += 1
-        else:
-            nested_cls, nested_shapes, count = shape
-            nested = tuple(_arg_makers(nested_shapes, convs[i - start:i - start + count], i))
-            makers.append(
-                lambda raw, _cls=nested_cls, _ms=nested: _cls(*[m(raw) for m in _ms])
-            )
-            i += count
-    return makers
+    leaf = _leaf_for(bundler)
+    if leaf is not None:
+        return ("scalar", leaf)
+    fn = getattr(bundler, "filter_fn", None)
+    if fn is _filters.xstring or fn is _filters.xopaque:
+        return ("bytes", fn is _filters.xstring)
+    plan = plan_for(bundler)
+    if plan is not None:
+        return ("record", plan)
+    sequence = getattr(bundler, "sequence", None)
+    return ("seq",) + sequence if sequence is not None else ("call", bundler)
 
 
-class _FusedSegment:
-    """A maximal run of fused scalars: one Struct, one pack/unpack."""
-
-    __slots__ = ("struct", "leaves", "shapes", "getters", "checks", "arg_makers",
-                 "flat_ctor", "simple_getall")
-
-    def __init__(self, flat_cls: type | None, leaves: list[_Leaf], shapes: list[Shape]):
-        self.leaves = leaves
-        self.shapes = shapes
-        self.struct = struct.Struct(">" + "".join(leaf.fmt for leaf in leaves))
-        self.getters = [attrgetter(".".join(leaf.path)) for leaf in leaves]
-        self.checks = [leaf.encode_check() for leaf in leaves]
-        #: For all-int/float segments of ≥2 leaves the whole gather is
-        #: one multi-attribute ``attrgetter`` call, and the only check
-        #: struct.pack does not already perform is rejecting bools —
-        #: done in one C pass with ``bool in map(type, vals)``.
-        self.simple_getall = (
-            attrgetter(*(".".join(leaf.path) for leaf in leaves))
-            if len(leaves) >= 2 and all(leaf.kind in ("int", "float") for leaf in leaves)
-            else None
-        )
-        convs = [leaf.decode_convert() for leaf in leaves]
-        self.arg_makers = _arg_makers(shapes, convs, start=0)
-        #: When the segment is an entire flat record with no decode
-        #: conversions, decoding is literally ``cls(*raw)``.
-        self.flat_ctor = (
-            flat_cls
-            if flat_cls is not None
-            and all(s == 1 for s in shapes)
-            and all(c is None for c in convs)
-            else None
-        )
+def _pure(node: tuple) -> bool:
+    """True when ``node`` inlines entirely: no bundler call anywhere."""
+    return node[0] != "call" and (node[0] != "record" or node[1].pure)
 
 
 class CompiledPlan:
     """The compiled layout of one record class."""
 
-    def __init__(self, cls: type, steps: list, field_count: int):
+    def __init__(self, cls: type, field_bundlers: list[tuple[str, Bundler]]):
         self.cls = cls
-        #: Alternating ("fused", _FusedSegment) / ("field", name, bundler)
-        #: entries in declaration order.
-        self.steps = steps
-        self.field_count = field_count
+        #: (field name, generator node) in declaration order.
+        self.nodes = [(name, _node(bundler)) for name, bundler in field_bundlers]
+        self.pure = all(_pure(node) for _name, node in self.nodes)
+        #: ("fused", leaves) for each run of scalars, nested fully fused
+        #: records spliced in, and ("field", name, bundler) for the rest.
+        self.steps: list = []
+        run: list[_Leaf] = []
+        for (name, bundler), (_name, node) in zip(field_bundlers, self.nodes):
+            if node[0] == "scalar":
+                run.append(node[1])
+            elif node[0] == "record" and node[1].fully_fused:
+                run.extend(node[1].steps[0][1])
+            else:
+                if run:
+                    self.steps.append(("fused", run))
+                    run = []
+                self.steps.append(("field", name, bundler))
+        if run:
+            self.steps.append(("fused", run))
 
     @property
     def fused_leaves(self) -> int:
-        return sum(len(s[1].leaves) for s in self.steps if s[0] == "fused")
+        return sum(len(s[1]) for s in self.steps if s[0] == "fused")
 
     @property
     def fully_fused(self) -> bool:
-        """True when the whole record is one Struct (spliceable into a
-        parent record's run)."""
+        """True when the whole record is one run of scalars."""
         return len(self.steps) == 1 and self.steps[0][0] == "fused"
 
     def describe(self) -> str:
-        """Human-readable plan, for docs/tests/debugging."""
-        parts = []
-        for step in self.steps:
-            if step[0] == "fused":
-                parts.append(f"fused[>{''.join(lf.fmt for lf in step[1].leaves)}]")
-            else:
-                parts.append(f"interpreted[{step[1]}]")
+        """Human-readable plan, e.g. ``Mixed: fused[>q] + bytes[name] + fused[>dii]``."""
+        parts = [f"fused[>{''.join(leaf.fmt for leaf in s[1])}]" if s[0] == "fused"
+                 else f"{_node(s[2])[0]}[{s[1]}]" for s in self.steps]
         return f"{self.cls.__name__}: " + " + ".join(parts)
 
 
 def _constructible_positionally(cls: type) -> bool:
-    """True when ``cls(*field_values_in_order)`` equals ``cls(**kwargs)``."""
+    """True when ``cls(*field_values_in_order)`` equals ``cls(**kwargs)``
+    and every field name can be written as an attribute in source."""
     try:
         fields = dataclasses.fields(cls)
     except TypeError:
         return False
-    return all(f.init and not getattr(f, "kw_only", False) for f in fields)
+    return all(f.init and not getattr(f, "kw_only", False)
+               and f.name.isidentifier() and not keyword.iskeyword(f.name)
+               for f in fields)
+
+
+# -- the code generator -------------------------------------------------------
+
+#: The shape of every generated bundler; the bodies are indented to fit.
+#: Encode declines by raising inside ``try``: the buffer is cut back to
+#: ``mark`` and the walk replays.  A plan that calls field bundlers
+#: writes its inline bytes to a private ``buf`` first, then splices them
+#: around the calls (``{calls}``).  Decode rewinds ``pos`` the same way.
+_TEMPLATE = """\
+def bundler(stream, v, *extra):
+    if stream._op is _ENCODE:
+        buf = {buffer}
+        mark = len(buf)
+        maxlen = stream._max_length
+        try:
+{encode}
+        except Exception:
+            del buf[mark:]
+            return _interp(stream, v, *extra)
+{calls}
+        return {returns}
+    view = stream._view
+    vlen = len(view)
+    maxlen = stream._max_length
+    pos = start = stream._pos
+    try:
+{decode}
+    except BundleError:
+        raise
+    except Exception:
+        stream._pos = start
+        return _interp(stream, None, *extra)
+    stream._pos = pos
+    return {result}
+"""
+
+
+class _Codegen:
+    """Writes the bodies of one bundler function and the names they use.
+
+    Scalars accumulate in ``run`` until something variable-length (a
+    byte body, a loop, a call) or the end closes it: then the run is
+    one ``pack`` (its checks first) or one ``unpack_from`` (its
+    conversions, and any line that needs them, after).
+    """
+
+    def __init__(self, interpreted: Bundler):
+        self.ns: dict[str, Any] = {"_Reject": _Reject, "_ENCODE": XdrOp.ENCODE, "_PAD": _PAD,
+                                   "_B": {0: False, 1: True}, "_interp": interpreted,
+                                   "BundleError": BundleError}
+        self.names: dict[int, str] = {}
+        self.lines: list[str] = []
+        self.depth = 3
+        self.count = 0
+        self.run: list[tuple[str, str]] = []  # (struct code, local name)
+        self.checks: list[str] = []           # encode: conditions that decline
+        self.post: list[str] = []             # decode: lines after the unpack
+        self.calls: list[tuple[str, str, str]] = []  # encode: (offset, bundler, value)
+
+    def local(self, prefix: str = "t") -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def const(self, obj: Any) -> str:
+        name = self.names.get(id(obj))
+        if name is None:
+            name = self.names[id(obj)] = f"_k{len(self.names)}"
+            self.ns[name] = obj
+        return name
+
+    def emit(self, *lines: str) -> None:
+        self.lines.extend("    " * self.depth + line for line in lines)
+
+    def later(self, line: str) -> None:
+        """Emit ``line`` once the pending run's values exist."""
+        (self.post.append if self.run else self.emit)(line)
+
+    @contextlib.contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        self.emit(header)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def flush_encode(self) -> None:
+        if self.run:
+            if self.checks:
+                self.emit(f"if {' or '.join(self.checks)}: raise _Reject")
+            packer = self.const(struct.Struct(">" + "".join(f for f, _ in self.run)))
+            self.emit(f"buf += {packer}.pack({', '.join(x for _, x in self.run)})")
+            self.run.clear()
+            self.checks.clear()
+
+    def encode(self, node: tuple, x: str) -> None:
+        """Check ``x`` (a local) against ``node`` and write it to ``buf``."""
+        kind = node[0]
+        if kind == "scalar":
+            leaf = node[1]
+            if leaf.kind == "enum":
+                values = {m: m.value for m in leaf.enum_cls
+                          if m.value.__class__ is int and _INT32_MIN <= m.value <= _INT32_MAX}
+                self.emit(f"if {x}.__class__ is not {self.const(leaf.enum_cls)}: raise _Reject",
+                          f"{x} = {self.const(values)}[{x}]")
+            else:
+                self.checks.append(f"{x}.__class__ is not {_EXACT_CLASS[leaf.kind]}")
+                if leaf.kind == "short":
+                    self.checks.append(f"not {_INT16_MIN} <= {x} <= {_INT16_MAX}")
+            self.run.append((leaf.fmt, x))
+        elif kind == "bytes":
+            n, data = self.local("n"), self.local("b") if node[1] else x
+            if node[1]:
+                self.emit(f"if {x}.__class__ is not str: raise _Reject",
+                          f"{data} = {x}.encode('utf-8')")
+            else:
+                self.emit(f"if {x}.__class__ is not bytes and {x}.__class__ is not bytearray:"
+                          " raise _Reject")
+            self.emit(f"{n} = len({data})", f"if {n} > maxlen: raise _Reject")
+            self.run.append(("I", n))
+            self.flush_encode()
+            self.emit(f"buf += {data}", f"buf += _PAD[{n} & 3]")
+        elif kind == "record":
+            self.emit(f"if {x}.__class__ is not {self.const(node[1].cls)}: raise _Reject")
+            for name, sub in node[1].nodes:
+                y = self.local()
+                self.emit(f"{y} = {x}.{name}")
+                self.encode(sub, y)
+        elif kind == "seq":
+            n, e = self.local("n"), self.local("e")
+            self.emit(f"if {x}.__class__ is not list and {x}.__class__ is not tuple:"
+                      " raise _Reject", f"{n} = len({x})")
+            self.run.append(("I", n))
+            self.flush_encode()
+            with self.block(f"for {e} in {x}:"):
+                self.encode(node[2], e)
+                self.flush_encode()
+        else:
+            # The bundler runs after every inline part is checked and
+            # written; note the offset it will write at.
+            self.flush_encode()
+            offset = self.local("o")
+            self.emit(f"{offset} = len(buf)")
+            self.calls.append((offset, self.const(node[1]), x))
+
+    def flush_decode(self) -> None:
+        if self.run:
+            unpacker = struct.Struct(">" + "".join(f for f, _ in self.run))
+            self.emit(f"{', '.join(x for _, x in self.run)}, = "
+                      f"{self.const(unpacker)}.unpack_from(view, pos)",
+                      f"pos += {unpacker.size}")
+            self.run.clear()
+        self.emit(*self.post)
+        self.post.clear()
+
+    def decode(self, node: tuple) -> str:
+        """Read one ``node``; returns the local that will hold its value."""
+        kind = node[0]
+        x = self.local()
+        if kind == "scalar":
+            leaf = node[1]
+            self.run.append((leaf.fmt, x))
+            if leaf.kind == "bool":
+                self.post.append(f"{x} = _B[{x}]")
+            elif leaf.kind == "short":
+                self.post.append(f"if not {_INT16_MIN} <= {x} <= {_INT16_MAX}: raise _Reject")
+            elif leaf.kind == "enum":
+                members = self.const({m.value: m for m in leaf.enum_cls})
+                self.post.append(f"{x} = {members}[{x}]")
+        elif kind == "bytes":
+            n = self.local("n")
+            self.run.append(("I", n))
+            self.flush_decode()
+            body = "str(view[pos:end], 'utf-8')" if node[1] else "bytes(view[pos:end])"
+            self.emit(f"if {n} > maxlen: raise _Reject", f"end = pos + {n}", f"{x} = {body}",
+                      f"pos = end + (-{n} & 3)",
+                      f"if pos > vlen or {n} & 3 and view[end:pos] != _PAD[{n} & 3]:"
+                      " raise _Reject")
+        elif kind == "record":
+            args = [self.decode(sub) for _name, sub in node[1].nodes]
+            self.later(f"{x} = {self.const(node[1].cls)}({', '.join(args)})")
+        elif kind == "seq":
+            n = self.local("n")
+            self.run.append(("I", n))
+            self.flush_decode()
+            self.emit(f"if {n} > maxlen: raise _Reject", f"{x} = []")
+            with self.block(f"for _ in range({n}):"):
+                self.later(f"{x}.append({self.decode(node[2])})")
+                self.flush_decode()
+            if node[1] is tuple:
+                self.emit(f"{x} = tuple({x})")
+        else:
+            self.flush_decode()
+            self.emit("stream._pos = pos", f"{x} = {self.const(node[1])}(stream, None)",
+                      "pos = stream._pos")
+        return x
+
+    def build(self, node: tuple, name: str, returns: str) -> Bundler:
+        """Generate, ``exec`` and label the bundler for ``node``."""
+        self.encode(node, "v")
+        self.flush_encode()
+        encode, self.lines, self.depth = self.lines, [], 2
+        if self.calls:
+            self.emit("out = stream._buffer")
+            start = ""
+            for offset, bundler, value in self.calls:
+                self.emit(f"out += buf[{start}:{offset}]", f"{bundler}(stream, {value})")
+                start = offset
+            self.emit(f"out += buf[{start}:]")
+        calls, self.lines, self.depth = self.lines, [], 2
+        result = self.decode(node)
+        self.flush_decode()
+        source = _TEMPLATE.format(
+            buffer="bytearray()" if self.calls else "stream._buffer",
+            encode="\n".join(encode), calls="\n".join(calls), returns=returns,
+            decode="\n".join(self.lines), result=result)
+        exec(compile(source, f"<compiled bundler {name}>", "exec"), self.ns)
+        bundler = self.ns["bundler"]
+        bundler.__name__ = name
+        bundler.source = source
+        bundler.interpreted = self.ns["_interp"]
+        return bundler
 
 
 # -- compilation --------------------------------------------------------------
 
-_PLAN_CACHE: dict[tuple, Optional[CompiledPlan]] = {}
-_PLAN_CACHE_MAX = 1024
+_CACHE: dict[tuple, Optional[Bundler]] = {}
 
 
-def compile_plan(cls: type, field_bundlers: list[tuple[str, Bundler]]) -> Optional[CompiledPlan]:
-    """Compile ``cls``'s field plan, or return None when nothing fuses.
+def _cached(key: tuple, make: Callable[[], Optional[Bundler]]) -> Optional[Bundler]:
+    if key not in _CACHE:
+        if len(_CACHE) >= 1024:
+            _CACHE.clear()
+        _CACHE[key] = make()
+    return _CACHE[key]
 
-    ``field_bundlers`` are the bundlers the registry actually resolved,
-    so a user registration for any field type is honoured by falling
-    back — the unknown bundler breaks the run.
-    """
-    if not ENABLED or not _constructible_positionally(cls):
-        return None
-    key = (cls, tuple(bundler for _name, bundler in field_bundlers))
-    if key in _PLAN_CACHE:
-        return _PLAN_CACHE[key]
-
-    steps: list = []
-    run_leaves: list[_Leaf] = []
-    run_shapes: list[Shape] = []
-
-    def close_run(flat_cls: type | None = None) -> None:
-        if run_leaves:
-            steps.append(("fused", _FusedSegment(flat_cls, list(run_leaves), list(run_shapes))))
-            run_leaves.clear()
-            run_shapes.clear()
-
-    for name, bundler in field_bundlers:
-        leaf = _leaf_for(bundler, (name,))
-        if leaf is not None:
-            run_leaves.append(leaf)
-            run_shapes.append(1)
-            continue
-        nested = getattr(bundler, "plan", None)
-        if isinstance(nested, CompiledPlan) and nested.fully_fused:
-            seg = nested.steps[0][1]
-            for sub in seg.leaves:
-                run_leaves.append(dataclasses.replace(sub, path=(name,) + sub.path))
-            run_shapes.append((nested.cls, seg.shapes, len(seg.leaves)))
-            continue
-        close_run()
-        steps.append(("field", name, bundler))
-    # A run closed only now, with no interpreted steps before it,
-    # covers the whole record.
-    close_run(flat_cls=cls if not steps else None)
-
-    fused = sum(len(s[1].leaves) for s in steps if s[0] == "fused")
-    plan = CompiledPlan(cls, steps, len(field_bundlers)) if fused >= 2 else None
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
-# -- the compiled bundler -----------------------------------------------------
 
 def make_compiled_bundler(
     cls: type,
     field_bundlers: list[tuple[str, Bundler]],
     interpreted: Bundler,
 ) -> Optional[Bundler]:
-    """Wrap ``interpreted`` with the compiled fast path, if one compiles.
+    """The generated bundler for record ``cls``, or None when its plan
+    fuses fewer than two scalars (the caller keeps ``interpreted``).
 
-    Returns None when the plan does not fuse at least two scalars, in
-    which case the caller keeps the interpreted bundler.  The returned
-    bundler exposes ``.plan`` (the :class:`CompiledPlan`) and
-    ``.interpreted`` (the exact slow path it shadows).
+    ``field_bundlers`` are the bundlers the registry actually resolved,
+    so a user registration for any field type is honoured.  The result
+    exposes ``.plan`` (the :class:`CompiledPlan`), ``.interpreted`` (the
+    walk it replays) and ``.source``.
     """
-    plan = compile_plan(cls, field_bundlers)
-    if plan is None:
-        return None
+    def make() -> Optional[Bundler]:
+        if not _constructible_positionally(cls):
+            return None
+        plan = CompiledPlan(cls, field_bundlers)
+        if plan.fused_leaves < 2:
+            return None
+        bundler = _Codegen(interpreted).build(
+            ("record", plan), f"compiled_struct_{cls.__name__}", "v")
+        bundler.plan = plan
+        return bundler
 
-    # Precompute per-step closures once, outside the hot path.
-    enc_steps: list = []
-    dec_steps: list = []
-    for step in plan.steps:
-        if step[0] == "fused":
-            seg = step[1]
-            enc_steps.append(("fused", seg.struct,
-                              tuple(zip(seg.getters, seg.checks)), seg.simple_getall))
-            dec_steps.append(("fused", seg.struct, tuple(seg.arg_makers), seg.flat_ctor))
-        else:
-            _tag, name, bundler = step
-            enc_steps.append(("field", attrgetter(name), bundler))
-            dec_steps.append(("field", bundler))
+    return _cached((cls, *(bundler for _name, bundler in field_bundlers)), make)
 
-    if plan.fully_fused:
-        seg = plan.steps[0][1]
-        s = seg.struct
-        pack = s.pack
-        unpack_from = s.unpack_from
-        size = s.size
-        pairs = tuple(zip(seg.getters, seg.checks))
-        getall = seg.simple_getall
-        arg_makers = tuple(seg.arg_makers)
-        flat_ctor = seg.flat_ctor
 
-        # The hot path touches XdrStream internals directly (``_buffer``,
-        # ``_view``, ``_pos``) instead of mark()/write_packed()/read_struct():
-        # at one Struct call per record, three Python method calls per op
-        # would be most of the remaining cost.  The semantics mirror those
-        # methods exactly; ``struct`` raises on underflow or bad values and
-        # the except clause rewinds and replays the interpreted bundler.
-        def compiled_bundler(stream, value, *extra):
-            if stream._op is _ENCODE:
-                if value.__class__ is not cls and not isinstance(value, cls):
-                    raise BundleError(f"expected {cls.__name__}, got {value!r}")
-                buf = stream._buffer
-                marker = len(buf)
-                try:
-                    if getall is not None:
-                        vals = getall(value)
-                        if bool in map(type, vals):
-                            raise _Reject
-                        buf += pack(*vals)
-                    else:
-                        buf += pack(*[c(g(value)) if c else g(value)
-                                      for g, c in pairs])
-                    return value
-                except Exception:
-                    del buf[marker:]
-                    return interpreted(stream, value, *extra)
-            pos = stream._pos
-            try:
-                raw = unpack_from(stream._view, pos)
-                stream._pos = pos + size
-                if flat_ctor is not None:
-                    return flat_ctor(*raw)
-                return cls(*[m(raw) for m in arg_makers])
-            except Exception:
-                stream._pos = pos
-                return interpreted(stream, None, *extra)
-    else:
-        def compiled_bundler(stream, value, *extra):
-            if stream.encoding:
-                if value.__class__ is not cls and not isinstance(value, cls):
-                    raise BundleError(f"expected {cls.__name__}, got {value!r}")
-                marker = stream.mark()
-                try:
-                    for step in enc_steps:
-                        if step[0] == "fused":
-                            _t, st, st_pairs, st_getall = step
-                            if st_getall is not None:
-                                vals = st_getall(value)
-                                if bool in map(type, vals):
-                                    raise _Reject
-                                stream.write_packed(st.pack(*vals))
-                            else:
-                                stream.write_packed(
-                                    st.pack(*[c(g(value)) if c else g(value)
-                                              for g, c in st_pairs])
-                                )
-                        else:
-                            _t, getter, bundler = step
-                            bundler(stream, getter(value))
-                    return value
-                except BundleError:
-                    raise
-                except Exception:
-                    stream.reset_to(marker)
-                    return interpreted(stream, value, *extra)
-            marker = stream.mark()
-            try:
-                args: list = []
-                for step in dec_steps:
-                    if step[0] == "fused":
-                        _t, st, makers, _flat = step
-                        raw = stream.read_struct(st)
-                        args.extend(m(raw) for m in makers)
-                    else:
-                        args.append(step[1](stream, None))
-                return cls(*args)
-            except BundleError:
-                raise
-            except Exception:
-                stream.reset_to(marker)
-                return interpreted(stream, None, *extra)
+def make_compiled_sequence(
+    container: type, element: Bundler, interpreted: Bundler
+) -> Optional[Bundler]:
+    """The generated bundler for ``list[T]`` or ``tuple[T, ...]``, or None
+    when the element does not inline (it calls a bundler somewhere)."""
+    def make() -> Optional[Bundler]:
+        node = _node(element)
+        if not _pure(node):
+            return None
+        bundler = _Codegen(interpreted).build(
+            ("seq", container, node), f"compiled_{container.__name__}",
+            "list(v)" if container is list else "v")
+        bundler.sequence = (container, node)
+        return bundler
 
-    compiled_bundler.__name__ = f"compiled_struct_{cls.__name__}"
-    compiled_bundler.plan = plan
-    compiled_bundler.interpreted = interpreted
-    return compiled_bundler
+    return _cached((container, element), make)
 
 
 def plan_for(bundler: Bundler) -> Optional[CompiledPlan]:

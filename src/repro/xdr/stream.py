@@ -27,10 +27,7 @@ Hot-path design (see docs/PERFORMANCE.md):
 - ENCODE streams draw their ``bytearray`` from a small free list;
   callers on the hot path :meth:`release` the stream when done so the
   next message reuses the (already grown) buffer instead of
-  reallocating;
-- :meth:`write_packed` / :meth:`read_struct` let a compiled bundler
-  plan (:mod:`repro.bundlers.compiled`) move a whole record with one
-  C call.
+  reallocating.
 """
 
 from __future__ import annotations
@@ -136,6 +133,8 @@ class XdrStream:
     satisfy this trivially — they are immutable ``bytes``.
     """
 
+    #: The generated codecs of :mod:`repro.bundlers.compiled` read and
+    #: advance these slots directly, as the filter methods do.
     __slots__ = ("_op", "_max_length", "_buffer", "_view", "_pos")
 
     def __init__(self, op: XdrOp, data: bytes = b"", *, max_length: int = DEFAULT_MAX_LENGTH):
@@ -249,45 +248,6 @@ class XdrStream:
         (value,) = s.unpack_from(self._view, self._pos)
         self._pos = end
         return value
-
-    # -- compiled-plan fast path ----------------------------------------------
-
-    def write_packed(self, data: bytes) -> None:
-        """Append pre-packed bytes (compiled bundler plans; ENCODE only).
-
-        The caller vouches that ``data`` is valid XDR — this is the
-        single-C-call record write of :mod:`repro.bundlers.compiled`.
-        """
-        if self._op is not XdrOp.ENCODE:
-            raise XdrError("write_packed() is only valid on an ENCODE stream")
-        self._buffer += data
-
-    def read_struct(self, s: struct.Struct) -> tuple:
-        """Unpack one precompiled Struct straight from the buffer (DECODE)."""
-        if self._op is not XdrOp.DECODE:
-            raise XdrError("read_struct() is only valid on a DECODE stream")
-        end = self._pos + s.size
-        if end > len(self._view):
-            raise XdrError(
-                f"XDR underflow: need {s.size} bytes at offset {self._pos}, "
-                f"have {len(self._view) - self._pos}"
-            )
-        values = s.unpack_from(self._view, self._pos)
-        self._pos = end
-        return values
-
-    def mark(self) -> int:
-        """Current position (DECODE) or length (ENCODE), for :meth:`reset_to`."""
-        if self._op is XdrOp.ENCODE:
-            return len(self._buffer)
-        return self._pos
-
-    def reset_to(self, marker: int) -> None:
-        """Rewind to a :meth:`mark`; the compiled-plan fallback mechanism."""
-        if self._op is XdrOp.ENCODE:
-            del self._buffer[marker:]
-        else:
-            self._pos = marker
 
     # -- integer filters -------------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
+import typing
 from typing import Optional
 
 import pytest
@@ -306,3 +307,128 @@ def test_plans_are_cached_per_class_and_bundlers():
     b1 = derive_bundler(Reading)
     b2 = derive_bundler(Reading)
     assert plan_for(b1) is plan_for(b2)
+
+
+# -- exact scalar classes -----------------------------------------------------
+
+class Idx:
+    """Defines only ``__index__``: ``struct`` packs it, the walk refuses it."""
+
+    def __index__(self):
+        return 3
+
+
+class Flt:
+    """Defines only ``__float__``."""
+
+    def __float__(self):
+        return 1.5
+
+
+class Big(int):
+    pass
+
+
+def outcome(bundler, value):
+    try:
+        return "ok", encode(bundler, value)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Point(Idx(), 4),                 # __index__ in an int slot
+        Reading(1, 2, Flt(), 1.0),       # __float__ in a float slot
+        Point(Big(3), 4),                # int subclass: the walk accepts it
+        Reading(1, 2, 3, 1.0),           # int in a float slot: the walk accepts it
+        Mixed(1, "x", 2.0, 1, Color.RED),  # int in a bool slot
+    ],
+)
+def test_scalars_of_inexact_class_take_the_walk(value):
+    bundler = derive_bundler(type(value))
+    assert outcome(bundler, value) == outcome(bundler.interpreted, value)
+
+
+def test_numpy_scalars_take_the_walk():
+    np = pytest.importorskip("numpy")
+    for value in (Point(np.int64(3), 4),                 # refused by the walk
+                  Reading(1, 2, np.float32(1.5), 1.0),   # refused by the walk
+                  Reading(1, 2, np.float64(1.5), 1.0)):  # a float subclass: accepted
+        bundler = derive_bundler(type(value))
+        assert outcome(bundler, value) == outcome(bundler.interpreted, value)
+
+
+def test_index_and_float_likes_are_refused_like_the_walk():
+    for value in (Point(Idx(), 4), Reading(1, 2, Flt(), 1.0)):
+        with pytest.raises(XdrError, match="expected (int64|float), got"):
+            encode(derive_bundler(type(value)), value)
+
+
+class Tok:
+    """A type only a user bundler knows."""
+
+
+@dataclasses.dataclass
+class R:
+    t: Tok
+    x: int
+    y: int
+
+
+def test_declined_record_runs_field_bundlers_once():
+    """A record declined for a later scalar must not run an earlier field
+    bundler twice: the walk it replays is the only run."""
+
+    runs = []
+
+    def tok_bundler(stream, value, *extra):
+        runs.append(value)
+        return stream.xint(7 if stream.encoding else None)
+
+    registry = BundlerRegistry()
+    registry.add_resolver(structural_resolver)
+    registry.register(Tok, tok_bundler)
+    bundler = registry.bundler_for(R)
+    assert plan_for(bundler) is not None
+    with pytest.raises(XdrError, match="expected int64, got bool"):
+        encode(bundler, R(Tok(), 1, True))
+    assert len(runs) == 1
+    runs.clear()
+    data = encode(bundler, R(Tok(), 1, 2))
+    assert len(runs) == 1 and data == encode(bundler.interpreted, R(Tok(), 1, 2))
+
+
+# -- sequences ----------------------------------------------------------------
+
+@pytest.mark.parametrize("annotation", [list[Mixed], tuple[Nested, ...], list[list[Point]]])
+def test_sequences_of_compiled_records_are_generated(annotation):
+    bundler = derive_bundler(annotation)
+    assert bundler.sequence[0] is typing.get_origin(annotation)
+    rng = random.Random(7)
+    element = typing.get_args(annotation)[0]
+    for _ in range(20):
+        if element == list[Point]:
+            value = [[random_value(Point, rng) for _ in range(rng.randint(0, 3))]
+                     for _ in range(rng.randint(0, 3))]
+        else:
+            value = [random_value(element, rng) for _ in range(rng.randint(0, 5))]
+            if typing.get_origin(annotation) is tuple:
+                value = tuple(value)
+        data = encode(bundler, value)
+        assert data == encode(bundler.interpreted, value)
+        assert decode(bundler, data) == value
+
+
+def test_sequence_of_records_that_call_bundlers_keeps_the_walk():
+    bundler = derive_bundler(list[WithOptional])
+    assert not hasattr(bundler, "sequence")
+    value = [WithOptional(1, None, 2), WithOptional(3, 4, 5)]
+    assert decode(bundler, encode(bundler, value)) == value
+
+
+def test_generated_source_inlines_strings_and_loops():
+    source = derive_bundler(list[Mixed]).source
+    assert "for " in source and ".encode('utf-8')" in source
+    assert "_interp(" in source  # the walk stays as the fallback

@@ -145,9 +145,8 @@ class TestServerIntegration:
                 path = server.note_incident("unit-reason", "some detail")
                 assert path and os.path.exists(path)
                 assert "unit-reason" in os.path.basename(path)
-                header = json.loads(
-                    open(path, encoding="utf-8").readline()
-                )
+                with open(path, encoding="utf-8") as dump:
+                    header = json.loads(dump.readline())
                 assert header["reason"] == "unit-reason"
                 assert "unit-reason" in server.last_flight_dump
                 assert path in server.flight_dumps
