@@ -29,6 +29,15 @@ def make_group(tmp_path, **kwargs) -> tuple[UpcallGroup, Spool]:
     spool = Spool(str(tmp_path / "spool"), fsync="never")
     kwargs.setdefault("resume_poll", 0.02)
     group = UpcallGroup("events", store=spool, **kwargs)
+    # The caller owns the spool (the group never closes it): close it
+    # with the group, so no test leaks its log files.
+    close_group = group.close
+
+    async def close() -> None:
+        await close_group()
+        spool.close()
+
+    group.close = close
     return group, spool
 
 
