@@ -22,9 +22,12 @@ are those of the interpreted walk.  The generated code takes a scalar
 only when its class is exactly the one the wire form expects
 (``int``, ``float``, ``bool``, the enum); any value or wire input it
 declines is rewound and replayed through the walk, so the exception
-type and message and the stream position match too.  A plan that
-calls field bundlers checks and writes everything inline before the
-first call, so a declined value runs no bundler twice.  Only the
+type and message and the stream position match too.  No field
+bundler runs twice: a plan that calls field bundlers checks and writes
+everything inline before the first call, and a decode that fails after
+a call resumes the walk at the next field instead of replaying it.
+Records that call bundlers are called, not inlined, inside others, so
+every call sits in the plan being generated.  Only the
 *canonical* filters are recognized, by function identity: a user
 bundler registered for a field type is called, as §3.2 requires.
 Generated bundlers are cached per (record class, field bundlers) and
@@ -106,7 +109,7 @@ def _node(bundler: Bundler) -> tuple:
     if fn is _filters.xstring or fn is _filters.xopaque:
         return ("bytes", fn is _filters.xstring)
     plan = plan_for(bundler)
-    if plan is not None:
+    if plan is not None and plan.pure:
         return ("record", plan)
     sequence = getattr(bundler, "sequence", None)
     return ("seq",) + sequence if sequence is not None else ("call", bundler)
@@ -114,7 +117,7 @@ def _node(bundler: Bundler) -> tuple:
 
 def _pure(node: tuple) -> bool:
     """True when ``node`` inlines entirely: no bundler call anywhere."""
-    return node[0] != "call" and (node[0] != "record" or node[1].pure)
+    return node[0] != "call"
 
 
 class CompiledPlan:
@@ -122,6 +125,7 @@ class CompiledPlan:
 
     def __init__(self, cls: type, field_bundlers: list[tuple[str, Bundler]]):
         self.cls = cls
+        self.bundlers = [bundler for _name, bundler in field_bundlers]
         #: (field name, generator node) in declaration order.
         self.nodes = [(name, _node(bundler)) for name, bundler in field_bundlers]
         self.pure = all(_pure(node) for _name, node in self.nodes)
@@ -176,7 +180,9 @@ def _constructible_positionally(cls: type) -> bool:
 #: Encode declines by raising inside ``try``: the buffer is cut back to
 #: ``mark`` and the walk replays.  A plan that calls field bundlers
 #: writes its inline bytes to a private ``buf`` first, then splices them
-#: around the calls (``{calls}``).  Decode rewinds ``pos`` the same way.
+#: around the calls (``{calls}``).  Decode rewinds ``pos`` the same way
+#: until a field bundler has run (``at`` counts the fields before the
+#: last call); after that, ``{rescue}`` resumes the walk at field ``at``.
 _TEMPLATE = """\
 def bundler(stream, v, *extra):
     if stream._op is _ENCODE:
@@ -199,8 +205,7 @@ def bundler(stream, v, *extra):
     except BundleError:
         raise
     except Exception:
-        stream._pos = start
-        return _interp(stream, None, *extra)
+{rescue}
     stream._pos = pos
     return {result}
 """
@@ -227,6 +232,7 @@ class _Codegen:
         self.checks: list[str] = []           # encode: conditions that decline
         self.post: list[str] = []             # decode: lines after the unpack
         self.calls: list[tuple[str, str, str]] = []  # encode: (offset, bundler, value)
+        self.resumes: list[tuple[int, str]] = []  # decode: (at, the walk's rest)
 
     def local(self, prefix: str = "t") -> str:
         self.count += 1
@@ -346,8 +352,15 @@ class _Codegen:
                       f"if pos > vlen or {n} & 3 and view[end:pos] != _PAD[{n} & 3]:"
                       " raise _Reject")
         elif kind == "record":
-            args = [self.decode(sub) for _name, sub in node[1].nodes]
-            self.later(f"{x} = {self.const(node[1].cls)}({', '.join(args)})")
+            plan, args = node[1], []
+            for index, (_name, sub) in enumerate(plan.nodes, 1):
+                args.append(self.decode(sub))
+                if sub[0] == "call":  # only in the top plan: nested ones are pure
+                    rest = self.const(tuple(plan.bundlers[index:]))
+                    self.emit("mark = pos", f"at = {index}")
+                    self.resumes.append((index, f"{self.const(plan.cls)}({', '.join(args)}, "
+                                                f"*[b(stream, None) for b in {rest}])"))
+            self.later(f"{x} = {self.const(plan.cls)}({', '.join(args)})")
         elif kind == "seq":
             n = self.local("n")
             self.run.append(("I", n))
@@ -360,7 +373,7 @@ class _Codegen:
                 self.emit(f"{x} = tuple({x})")
         else:
             self.flush_decode()
-            self.emit("stream._pos = pos", f"{x} = {self.const(node[1])}(stream, None)",
+            self.emit("stream._pos = pos", "at = -1", f"{x} = {self.const(node[1])}(stream, None)",
                       "pos = stream._pos")
         return x
 
@@ -379,10 +392,20 @@ class _Codegen:
         calls, self.lines, self.depth = self.lines, [], 2
         result = self.decode(node)
         self.flush_decode()
+        decode, self.lines = self.lines, []
+        rescue = ["stream._pos = start", "return _interp(stream, None, *extra)"]
+        if self.resumes:
+            # A field bundler raising (at -1) is the walk raising; after
+            # one has returned, the walk resumes behind it.
+            decode.insert(0, "        at = 0")
+            rescue = (["if at < 0: raise", "if at == 0:"] + ["    " + line for line in rescue]
+                      + ["stream._pos = mark"]
+                      + [f"if at == {at}: return {rest}" for at, rest in self.resumes])
+        self.emit(*rescue)
         source = _TEMPLATE.format(
             buffer="bytearray()" if self.calls else "stream._buffer",
             encode="\n".join(encode), calls="\n".join(calls), returns=returns,
-            decode="\n".join(self.lines), result=result)
+            decode="\n".join(decode), rescue="\n".join(self.lines), result=result)
         exec(compile(source, f"<compiled bundler {name}>", "exec"), self.ns)
         bundler = self.ns["bundler"]
         bundler.__name__ = name

@@ -430,12 +430,9 @@ def encode_message(message: Message) -> bytes:
 def encode_message_interpreted(message: Message) -> bytes:
     """The per-field :class:`XdrStream` walk: reference and fallback codec."""
     stream = XdrStream.encoder()
-    try:
-        stream.xuint(int(message.TYPE_CODE))
-        message.bundle(stream)
-        return stream.getvalue()
-    finally:
-        stream.release()
+    stream.xuint(int(message.TYPE_CODE))
+    message.bundle(stream)
+    return stream.getvalue()
 
 
 # -- encode-once/write-N upcall templates --------------------------------------

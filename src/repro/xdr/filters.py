@@ -96,11 +96,8 @@ def xdr_filter_for(py_type: type) -> Filter:
 def encode_with(filter_fn: Filter, value: Any) -> bytes:
     """Run one filter over one value on a fresh ENCODE stream."""
     stream = XdrStream(XdrOp.ENCODE)
-    try:
-        filter_fn(stream, value)
-        return stream.getvalue()
-    finally:
-        stream.release()
+    filter_fn(stream, value)
+    return stream.getvalue()
 
 
 def decode_with(filter_fn: Filter, data) -> Any:

@@ -77,11 +77,8 @@ class WithOptional:
 
 def encode(bundler, value) -> bytes:
     stream = XdrStream(XdrOp.ENCODE)
-    try:
-        bundler(stream, value)
-        return stream.getvalue()
-    finally:
-        stream.release()
+    bundler(stream, value)
+    return stream.getvalue()
 
 
 def decode(bundler, data):
@@ -276,25 +273,19 @@ def test_encode_fallback_leaves_stream_exactly_as_interpreted_would():
     leftovers = []
     for fn in (bundler, interpreted):
         stream = XdrStream(XdrOp.ENCODE)
-        try:
-            stream.xstring("prefix")
-            with pytest.raises(XdrError):
-                fn(stream, Point(1, 2**90))
-            leftovers.append(stream.getvalue())
-        finally:
-            stream.release()
+        stream.xstring("prefix")
+        with pytest.raises(XdrError):
+            fn(stream, Point(1, 2**90))
+        leftovers.append(stream.getvalue())
     assert leftovers[0] == leftovers[1]
 
 
 def test_decode_fallback_replays_from_same_offset():
     bundler = derive_bundler(Point)
     enc = XdrStream(XdrOp.ENCODE)
-    try:
-        enc.xstring("pre")
-        bundler(enc, Point(5, 6))
-        data = enc.getvalue()
-    finally:
-        enc.release()
+    enc.xstring("pre")
+    bundler(enc, Point(5, 6))
+    data = enc.getvalue()
     dec = XdrStream(XdrOp.DECODE, data)
     dec.xstring()
     assert bundler(dec, None) == Point(5, 6)
@@ -398,6 +389,42 @@ def test_declined_record_runs_field_bundlers_once():
     runs.clear()
     data = encode(bundler, R(Tok(), 1, 2))
     assert len(runs) == 1 and data == encode(bundler.interpreted, R(Tok(), 1, 2))
+
+
+@dataclasses.dataclass
+class RB:
+    t: Tok
+    x: int
+    y: bool
+
+
+def test_failed_decode_after_a_call_runs_the_field_bundler_once():
+    """A wire value the generated decode refuses after a field bundler has
+    run resumes the walk behind that field: the bundler is not rerun (an
+    imported object or procedure pointer would be imported twice), and
+    the error and stream position are the walk's."""
+    runs = []
+
+    def tok_bundler(stream, value, *extra):
+        runs.append(stream.op)
+        return stream.xint(7 if stream.encoding else None)
+
+    registry = BundlerRegistry()
+    registry.add_resolver(structural_resolver)
+    registry.register(Tok, tok_bundler)
+    bundler = registry.bundler_for(RB)
+    assert plan_for(bundler) is not None
+    data = bytearray(encode(bundler, RB(Tok(), 1, True)))
+    data[-1] = 2  # the bool's wire value
+    outcomes = []
+    for fn in (bundler, bundler.interpreted):
+        runs.clear()
+        stream = XdrStream(XdrOp.DECODE, bytes(data))
+        with pytest.raises(XdrError, match="invalid XDR boolean 2") as err:
+            fn(stream, None)
+        outcomes.append((str(err.value), stream.remaining(), len(runs)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == 1
 
 
 # -- sequences ----------------------------------------------------------------

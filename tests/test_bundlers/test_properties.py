@@ -11,7 +11,8 @@ hand-picked examples.
 The same grammar checks the generated codecs of
 :mod:`repro.bundlers.compiled` against the interpreted walk they
 replace: same bytes, same values, and for corrupted values or wire
-bytes the same exception type and message and the same stream state.
+bytes the same exception type and message, the same stream state, and
+the same number of runs of a user bundler.
 """
 
 import dataclasses
@@ -68,9 +69,43 @@ class Swatch:
     tags: list[str]
 
 
+class Token:
+    """A type only a user bundler knows, as an object handle would be."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Token) and other.value == self.value
+
+    def __repr__(self):
+        return f"Token({self.value})"
+
+
+#: One entry per run of :func:`token_bundler`.
+TOKEN_RUNS: list = []
+
+
+def token_bundler(stream, value, *extra):
+    TOKEN_RUNS.append(stream.op)
+    if stream.encoding:
+        return stream.xint(value.value)
+    return Token(stream.xint())
+
+
+@dataclass
+class Ticket:
+    """A user-bundled field, then scalars the generated code reads after it."""
+
+    token: Token
+    count: int
+    open: bool
+
+
 def fresh_registry():
     registry = BundlerRegistry()
     registry.add_resolver(structural_resolver)
+    registry.register(Token, token_bundler)
     return registry
 
 
@@ -104,6 +139,12 @@ base_types = st.sampled_from(
             st.builds(Swatch, shade=st.sampled_from(Shade), weight=ints,
                       note=st.one_of(st.none(), ints), scale=floats,
                       tags=st.lists(st.text(max_size=3), max_size=3)),
+        ),
+        (Token, st.builds(Token, st.integers(-(2**31), 2**31 - 1))),
+        (
+            Ticket,
+            st.builds(Ticket, token=st.builds(Token, st.integers(-(2**31), 2**31 - 1)),
+                      count=ints, open=st.booleans()),
         ),
         (
             Nested,
@@ -227,28 +268,27 @@ def corrupt(value, draw):
 
 
 def encode_outcome(bundler, value):
-    """(result or exception, bytes on the stream) after one encode."""
+    """(result or exception, bytes on the stream, user bundler runs) after one encode."""
+    TOKEN_RUNS.clear()
     stream = XdrStream.encoder()
+    stream.xuint(0xC0DE)
     try:
-        stream.xuint(0xC0DE)
-        try:
-            bundler(stream, value)
-            result = "ok"
-        except Exception as exc:
-            result = (type(exc), str(exc))
-        return result, stream.getvalue()
-    finally:
-        stream.release()
+        bundler(stream, value)
+        result = "ok"
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, stream.getvalue(), len(TOKEN_RUNS)
 
 
 def decode_outcome(bundler, data):
-    """(repr of value or exception, bytes left) after one decode."""
+    """(repr of value or exception, bytes left, user bundler runs) after one decode."""
+    TOKEN_RUNS.clear()
     stream = XdrStream.decoder(data)
     try:
         result = repr(bundler(stream, None))
     except Exception as exc:
         result = (type(exc), str(exc))
-    return result, stream.remaining()
+    return result, stream.remaining(), len(TOKEN_RUNS)
 
 
 @given(typed_values, st.data())
