@@ -18,10 +18,10 @@ channel): it overrides the core's subscriber hooks.
   for its session to resume within the linger window;
 - ``take`` — a returning subscriber's pump **replays** the log in seq
   order before going live again.  Each chunk of records becomes a
-  batch of events whose payload cache already holds the stored bytes,
-  so replay goes through the same ``send_upcall_batch`` path as live
-  delivery, paced by the subscriber's CREDIT grants — a returning slow
-  consumer drains its backlog at its own window, never as a firehose;
+  batch of events whose payload is the stored bytes (never marshalled
+  again), so replay goes through the same ``send_upcall_batch`` path
+  as live delivery, paced by the subscriber's CREDIT grants — a
+  returning slow consumer drains its backlog at its own window;
 - ``settled`` advances the acknowledge cursor past replayed records;
 - ``offer`` spills instead of queueing while a replay is running, and
   on overflow instead of applying the slow policy, so nothing is
@@ -48,23 +48,25 @@ from repro.store import DurableSubscription, Spool
 class _Record(_Event):
     """A replayed log record, delivered like a live event.
 
-    Its payload cache holds the stored bytes, so it is never marshalled
-    again; only a local handler, which needs the arguments, unbundles
-    them.  No frame cache: a record goes to one subscriber only.
+    Its payload is the stored bytes, so it is never marshalled again;
+    only a local handler, which needs the arguments, unbundles them.  No frame cache: a record goes to one subscriber only.
     """
 
-    __slots__ = ("seq", "signature")
+    __slots__ = ("seq", "payload", "signature")
 
-    def __init__(self, seq: int, payload: bytes, key: tuple, signature):
+    def __init__(self, seq: int, payload: bytes, signature):
         self.seq = seq
+        self.payload = payload
         self.signature = signature
         self.t_post = 0.0
-        self.payloads = {key: payload}
         self.frames = None
+
+    def payload_for(self, signature) -> bytes:
+        return self.payload
 
     @property
     def args(self) -> tuple:
-        return self.signature.unbundle_args(self.payloads[self.signature.payload_key])
+        return self.signature.unbundle_args(self.payload)
 
 
 class DurableSubscriber(_Subscriber):
@@ -127,8 +129,7 @@ class DurableSubscriber(_Subscriber):
             self.replaying = False
             self.plane.spool.update_gauges()
         signature = subscription.signature
-        key = signature.payload_key
-        return [_Record(seq, payload, key, signature) for seq, payload in records]
+        return [_Record(seq, payload, signature) for seq, payload in records]
 
     def absorbs(self, exc: Exception) -> bool:
         # A dead path parks before the degradation route may absorb it:
@@ -223,11 +224,10 @@ class DurableTopic:
         self.resume_poll = resume_poll
         self.replay_chunk = max(1, replay_chunk)
         self.watcher: asyncio.Task | None = None
-        # Stamped for every subscriber, durable or not, so the
-        # encode-once payload caches stay shared.
-        group._event = self.event
 
     def event(self, args: tuple, t_post: float) -> _Event:
+        """A posted event, its topic seq prepended to the handler arguments:
+        for every subscriber, durable or not, so the caches stay shared."""
         return _Event((self.store.assign_seq(),) + args, t_post)
 
     def subscriber(

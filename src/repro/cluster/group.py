@@ -189,6 +189,7 @@ class UpcallGroup:
             from repro.cluster.durable import DurableTopic
 
             self._durable = DurableTopic(self, store, resume_poll, replay_chunk)
+            self._event = self._durable.event
         self.posts = self.delivered = self.dropped = self.coalesced = 0
         self.evicted_subscribers = self.evicted_events = self.errors = 0
         self.parks = self.resumes = self.spilled = self.replayed = 0

@@ -102,6 +102,15 @@ class Ticket:
     open: bool
 
 
+@dataclass
+class Envelope:
+    """A record that calls bundlers, nested in another with scalars around it."""
+
+    weight: int
+    ticket: Ticket
+    sealed: bool
+
+
 def fresh_registry():
     registry = BundlerRegistry()
     registry.add_resolver(structural_resolver)
@@ -121,6 +130,8 @@ def interpreted_bundler(annotation):
 
 ints = st.integers(min_value=-(2**62), max_value=2**62)
 floats = st.floats(allow_nan=False, allow_infinity=False)
+tokens = st.builds(Token, st.integers(-(2**31), 2**31 - 1))
+tickets = st.builds(Ticket, token=tokens, count=ints, open=st.booleans())
 base_types = st.sampled_from(
     [
         (int, ints),
@@ -140,12 +151,9 @@ base_types = st.sampled_from(
                       note=st.one_of(st.none(), ints), scale=floats,
                       tags=st.lists(st.text(max_size=3), max_size=3)),
         ),
-        (Token, st.builds(Token, st.integers(-(2**31), 2**31 - 1))),
-        (
-            Ticket,
-            st.builds(Ticket, token=st.builds(Token, st.integers(-(2**31), 2**31 - 1)),
-                      count=ints, open=st.booleans()),
-        ),
+        (Token, tokens),
+        (Ticket, tickets),
+        (Envelope, st.builds(Envelope, weight=ints, ticket=tickets, sealed=st.booleans())),
         (
             Nested,
             st.builds(
