@@ -58,6 +58,7 @@ def _roundtrip_records(bundler):
     enc = XdrStream.encoder()
     enc.xarray(bundler, _RECORDS)
     data = enc.getvalue()
+    enc.release()
     XdrStream.decoder(data).xarray(bundler)
 
 

@@ -58,6 +58,7 @@ def _xdr_primitives() -> None:
         enc.xdouble(i * 0.5)
         enc.xstring("label")
     data = enc.getvalue()
+    enc.release()
     dec = XdrStream.decoder(data)
     for _ in range(50):
         dec.xint()
@@ -69,6 +70,7 @@ def _record_roundtrip(bundler, items) -> None:
     enc = XdrStream.encoder()
     enc.xarray(bundler, items)
     data = enc.getvalue()
+    enc.release()
     XdrStream.decoder(data).xarray(bundler)
 
 

@@ -4,7 +4,20 @@ A group built with ``store=`` (a :class:`repro.store.Spool`) is a
 *durable topic*: every post is stamped with a topic sequence number,
 prepended as the first handler argument, so clients can carry an
 exactly-once cursor across an outage (:class:`repro.store.ReplayCursor`),
-and subscribers may register with ``durable=<stable id>``.
+and subscribers may register with ``durable=<stable id>``:
+
+- ``subscribe(proc, durable=id)`` replays the identity's spilled
+  backlog (it was parked, or the server restarted with its log on
+  disk) in seq order before going live; handlers receive
+  ``(seq, *args)``, so declare the leading ``int``;
+- ``resume_from`` is the subscriber's own cursor, the highest seq it
+  knows it fully processed: everything at or below it is acknowledged
+  before replay, closing the in-doubt window of deliveries whose acks
+  were lost in a crash;
+- ``signature`` bundles spilled events — required for a *local*
+  procedure, inferred from a RUC otherwise;
+- an id has one live registration: re-subscribing detaches the older
+  one (latest wins — the reconnect case).
 
 A durable registration is a :class:`DurableSubscriber`, a subscriber
 kind that the group's core delivers through without knowing it is
@@ -298,8 +311,9 @@ class DurableTopic:
         return len(events)
 
     def spill_parked(self, event: _Event) -> int:
-        parked = list(self.group._parked.values())
-        spilled = sum(self.spill(subscription, [event]) for subscription in parked)
+        spilled = 0
+        for subscription in list(self.group._parked.values()):
+            spilled += self.spill(subscription, [event])
         self.spool.update_gauges()
         return spilled
 

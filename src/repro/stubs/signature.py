@@ -268,21 +268,24 @@ class BoundMethod:
     def bundle_request(self, values: dict[str, Any]) -> bytes:
         """Client stub, outbound: bundle in/inout values by name."""
         stream = XdrStream.encoder()
-        for param in self.signature.params:
-            if not param.is_in:
-                continue
-            value = values[param.name]
-            if param.direction is Direction.INOUT:
-                if not isinstance(value, Ref):
-                    raise BundleError(f"inout parameter {param.name!r} needs a Ref")
-                value = value.value
-            run_bundler(
-                self._param_bundlers[param.name],
-                stream,
-                value,
-                *self._extras(param, values),
-            )
-        return stream.getvalue()
+        try:
+            for param in self.signature.params:
+                if not param.is_in:
+                    continue
+                value = values[param.name]
+                if param.direction is Direction.INOUT:
+                    if not isinstance(value, Ref):
+                        raise BundleError(f"inout parameter {param.name!r} needs a Ref")
+                    value = value.value
+                run_bundler(
+                    self._param_bundlers[param.name],
+                    stream,
+                    value,
+                    *self._extras(param, values),
+                )
+            return stream.getvalue()
+        finally:
+            stream.release()
 
     def unbundle_request(self, data: bytes) -> dict[str, Any]:
         """Server stub, inbound: recover the parameter dictionary.
@@ -313,25 +316,28 @@ class BoundMethod:
     def bundle_reply(self, result: Any, values: dict[str, Any]) -> bytes:
         """Server stub, outbound: return value then out/inout finals."""
         stream = XdrStream.encoder()
-        plain = {
-            name: (v.value if isinstance(v, Ref) else v)
-            for name, v in values.items()
-        }
-        if self._return_bundler is not None:
-            run_bundler(self._return_bundler, stream, result)
-        for param in self.signature.params:
-            if not param.is_out:
-                continue
-            ref = values[param.name]
-            if not isinstance(ref, Ref):
-                raise BundleError(f"out parameter {param.name!r} lost its Ref")
-            run_bundler(
-                self._param_bundlers[param.name],
-                stream,
-                ref.value,
-                *self._extras(param, plain),
-            )
-        return stream.getvalue()
+        try:
+            plain = {
+                name: (v.value if isinstance(v, Ref) else v)
+                for name, v in values.items()
+            }
+            if self._return_bundler is not None:
+                run_bundler(self._return_bundler, stream, result)
+            for param in self.signature.params:
+                if not param.is_out:
+                    continue
+                ref = values[param.name]
+                if not isinstance(ref, Ref):
+                    raise BundleError(f"out parameter {param.name!r} lost its Ref")
+                run_bundler(
+                    self._param_bundlers[param.name],
+                    stream,
+                    ref.value,
+                    *self._extras(param, plain),
+                )
+            return stream.getvalue()
+        finally:
+            stream.release()
 
     def unbundle_reply(self, data: bytes, values: dict[str, Any]) -> Any:
         """Client stub, inbound: return value; writes out/inout Refs in place."""

@@ -430,9 +430,12 @@ def encode_message(message: Message) -> bytes:
 def encode_message_interpreted(message: Message) -> bytes:
     """The per-field :class:`XdrStream` walk: reference and fallback codec."""
     stream = XdrStream.encoder()
-    stream.xuint(int(message.TYPE_CODE))
-    message.bundle(stream)
-    return stream.getvalue()
+    try:
+        stream.xuint(int(message.TYPE_CODE))
+        message.bundle(stream)
+        return stream.getvalue()
+    finally:
+        stream.release()
 
 
 # -- encode-once/write-N upcall templates --------------------------------------

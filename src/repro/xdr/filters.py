@@ -96,8 +96,11 @@ def xdr_filter_for(py_type: type) -> Filter:
 def encode_with(filter_fn: Filter, value: Any) -> bytes:
     """Run one filter over one value on a fresh ENCODE stream."""
     stream = XdrStream(XdrOp.ENCODE)
-    filter_fn(stream, value)
-    return stream.getvalue()
+    try:
+        filter_fn(stream, value)
+        return stream.getvalue()
+    finally:
+        stream.release()
 
 
 def decode_with(filter_fn: Filter, data) -> Any:

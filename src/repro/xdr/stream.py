@@ -23,7 +23,11 @@ Hot-path design (see docs/PERFORMANCE.md):
 - DECODE streams read through a :class:`memoryview` — primitives
   unpack straight out of the received buffer (``unpack_from``), and
   variable-length items copy at most once, at the API boundary
-  (:meth:`xopaque_view` skips even that copy).
+  (:meth:`xopaque_view` skips even that copy);
+- ENCODE streams draw their ``bytearray`` from a small free list;
+  callers on the hot path :meth:`release` the stream when done.  The
+  release clears the buffer, which frees its storage, so the list
+  saves the object, not the growth (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -59,6 +63,12 @@ _S_DOUBLE = struct.Struct(">d")
 
 #: Zero padding for a payload of n bytes is ``_PAD[n & 3]``.
 _PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
+#: Free list of encode buffers; bounded so a burst of huge messages
+#: cannot pin memory forever.
+_BUFFER_POOL: list[bytearray] = []
+_BUFFER_POOL_MAX = 32
+_BUFFER_KEEP_BYTES = 1 << 20  # don't pool buffers that grew past 1 MiB
 
 #: ``allowed=`` tuples seen by :meth:`XdrStream.xenum`, hoisted to
 #: frozensets once instead of being rebuilt on every call.
@@ -133,7 +143,7 @@ class XdrStream:
         self._op = op
         self._max_length = max_length
         if op is XdrOp.ENCODE:
-            self._buffer = bytearray()
+            self._buffer = _BUFFER_POOL.pop() if _BUFFER_POOL else bytearray()
             self._view = memoryview(b"")
         else:
             self._buffer = None
@@ -144,7 +154,11 @@ class XdrStream:
 
     @classmethod
     def encoder(cls) -> "XdrStream":
-        """Create a stream that bundles values into wire bytes."""
+        """Create a stream that bundles values into wire bytes.
+
+        Hot paths should :meth:`release` the stream after
+        :meth:`getvalue` so its buffer returns to the pool.
+        """
         return cls(XdrOp.ENCODE)
 
     @classmethod
@@ -175,7 +189,24 @@ class XdrStream:
         """Return the bytes bundled so far (ENCODE streams only)."""
         if self._op is not XdrOp.ENCODE:
             raise XdrError("getvalue() is only valid on an ENCODE stream")
+        if self._buffer is None:
+            raise XdrError("stream has been released")
         return bytes(self._buffer)
+
+    def release(self) -> None:
+        """Return an ENCODE stream's buffer to the pool (idempotent).
+
+        After release the stream is dead: :meth:`getvalue` raises.
+        Only worth calling on hot paths; an unreleased buffer is
+        simply garbage-collected.
+        """
+        buf = self._buffer
+        if buf is None or self._op is not XdrOp.ENCODE:
+            return
+        self._buffer = None
+        if len(_BUFFER_POOL) < _BUFFER_POOL_MAX and len(buf) <= _BUFFER_KEEP_BYTES:
+            buf.clear()
+            _BUFFER_POOL.append(buf)
 
     def remaining(self) -> int:
         """Bytes left to consume (DECODE streams only)."""

@@ -77,8 +77,11 @@ class WithOptional:
 
 def encode(bundler, value) -> bytes:
     stream = XdrStream(XdrOp.ENCODE)
-    bundler(stream, value)
-    return stream.getvalue()
+    try:
+        bundler(stream, value)
+        return stream.getvalue()
+    finally:
+        stream.release()
 
 
 def decode(bundler, data):
@@ -273,19 +276,25 @@ def test_encode_fallback_leaves_stream_exactly_as_interpreted_would():
     leftovers = []
     for fn in (bundler, interpreted):
         stream = XdrStream(XdrOp.ENCODE)
-        stream.xstring("prefix")
-        with pytest.raises(XdrError):
-            fn(stream, Point(1, 2**90))
-        leftovers.append(stream.getvalue())
+        try:
+            stream.xstring("prefix")
+            with pytest.raises(XdrError):
+                fn(stream, Point(1, 2**90))
+            leftovers.append(stream.getvalue())
+        finally:
+            stream.release()
     assert leftovers[0] == leftovers[1]
 
 
 def test_decode_fallback_replays_from_same_offset():
     bundler = derive_bundler(Point)
     enc = XdrStream(XdrOp.ENCODE)
-    enc.xstring("pre")
-    bundler(enc, Point(5, 6))
-    data = enc.getvalue()
+    try:
+        enc.xstring("pre")
+        bundler(enc, Point(5, 6))
+        data = enc.getvalue()
+    finally:
+        enc.release()
     dec = XdrStream(XdrOp.DECODE, data)
     dec.xstring()
     assert bundler(dec, None) == Point(5, 6)

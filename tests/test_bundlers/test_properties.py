@@ -279,13 +279,16 @@ def encode_outcome(bundler, value):
     """(result or exception, bytes on the stream, user bundler runs) after one encode."""
     TOKEN_RUNS.clear()
     stream = XdrStream.encoder()
-    stream.xuint(0xC0DE)
     try:
-        bundler(stream, value)
-        result = "ok"
-    except Exception as exc:
-        result = (type(exc), str(exc))
-    return result, stream.getvalue(), len(TOKEN_RUNS)
+        stream.xuint(0xC0DE)
+        try:
+            bundler(stream, value)
+            result = "ok"
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        return result, stream.getvalue(), len(TOKEN_RUNS)
+    finally:
+        stream.release()
 
 
 def decode_outcome(bundler, data):

@@ -1,8 +1,9 @@
-"""Zero-copy decode paths and memoryview encode.
+"""Zero-copy decode paths, buffer pooling, and memoryview encode.
 
 The decode stream reads through a ``memoryview``; ``xopaque_view``
-returns slices that *alias* the input buffer.  These tests pin down the
-aliasing rules.
+returns slices that *alias* the input buffer; encode streams draw
+their ``bytearray`` from a pool and return it on ``release()``.
+These tests pin down the aliasing and lifetime rules.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ def test_xopaque_view_aliases_the_input_buffer():
     enc = XdrStream.encoder()
     enc.xopaque(b"hello world")
     data = bytearray(enc.getvalue())
+    enc.release()
 
     dec = XdrStream.decoder(data)
     view = dec.xopaque_view()
@@ -35,6 +37,7 @@ def test_xopaque_returns_independent_bytes():
     enc = XdrStream.encoder()
     enc.xopaque(b"payload")
     data = bytearray(enc.getvalue())
+    enc.release()
 
     dec = XdrStream.decoder(data)
     out = dec.xopaque()
@@ -48,6 +51,7 @@ def test_xopaque_view_roundtrip_parity_with_xopaque():
     enc.xopaque(b"abc")
     enc.xopaque(b"defg")
     data = enc.getvalue()
+    enc.release()
 
     d1 = XdrStream.decoder(data)
     d2 = XdrStream.decoder(data)
@@ -64,10 +68,12 @@ def test_xopaque_encodes_memoryview_without_copy_semantics_change():
     direct = XdrStream.encoder()
     direct.xopaque(bytes(payload))
     expected = direct.getvalue()
+    direct.release()
 
     via_view = XdrStream.encoder()
     via_view.xopaque(memoryview(payload))
     assert via_view.getvalue() == expected
+    via_view.release()
 
 
 def test_xopaque_fixed_accepts_memoryview_and_bytearray():
@@ -75,6 +81,7 @@ def test_xopaque_fixed_accepts_memoryview_and_bytearray():
         enc = XdrStream.encoder()
         enc.xopaque_fixed(value, size=4)
         data = enc.getvalue()
+        enc.release()
         dec = XdrStream.decoder(data)
         assert dec.xopaque_fixed(size=4) == b"abcd"
 
@@ -83,6 +90,7 @@ def test_xopaque_rejects_wrong_types():
     enc = XdrStream.encoder()
     with pytest.raises(XdrError):
         enc.xopaque("not bytes")
+    enc.release()
 
 
 # -- xshort symmetry ----------------------------------------------------------
@@ -92,6 +100,7 @@ def test_xshort_decode_range_matches_encode_range():
         enc = XdrStream.encoder()
         enc.xshort(value)
         data = enc.getvalue()
+        enc.release()
         assert XdrStream.decoder(data).xshort() == value
 
     # A wire int32 outside int16 range must be rejected on decode,
@@ -99,8 +108,38 @@ def test_xshort_decode_range_matches_encode_range():
     enc = XdrStream.encoder()
     enc.xint(2**15)  # same wire size, out-of-range payload
     data = enc.getvalue()
+    enc.release()
     with pytest.raises(XdrError):
         XdrStream.decoder(data).xshort()
+
+
+# -- buffer pooling -----------------------------------------------------------
+
+def test_release_returns_buffer_to_pool_and_invalidates_stream():
+    enc = XdrStream.encoder()
+    enc.xint(42)
+    assert enc.getvalue() == (42).to_bytes(4, "big")
+    enc.release()
+    with pytest.raises(XdrError):
+        enc.getvalue()
+
+
+def test_pooled_buffer_reuse_starts_empty():
+    first = XdrStream.encoder()
+    first.xstring("leftover contents")
+    first.release()
+
+    second = XdrStream.encoder()
+    assert second.getvalue() == b""
+    second.xint(1)
+    assert second.getvalue() == (1).to_bytes(4, "big")
+    second.release()
+
+
+def test_release_is_idempotent():
+    enc = XdrStream.encoder()
+    enc.release()
+    enc.release()
 
 
 def test_decode_stream_accepts_bytes_bytearray_memoryview():
@@ -108,6 +147,7 @@ def test_decode_stream_accepts_bytes_bytearray_memoryview():
     enc.xhyper(-5)
     enc.xstring("zx")
     data = enc.getvalue()
+    enc.release()
     for source in (data, bytearray(data), memoryview(data)):
         dec = XdrStream.decoder(source)
         assert dec.xhyper() == -5
